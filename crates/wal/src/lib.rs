@@ -21,8 +21,11 @@
 //!
 //! # Restart recovery
 //!
-//! The server log is *replayable*: [`ServerLog::force`] serializes every
-//! newly durable record into a checksummed byte image, and
+//! The server log is *replayable*: [`ServerLog::force`] appends every
+//! newly durable record — and only those, so a force costs O(bytes
+//! forced), not O(tail) — to a byte image of checksummed frames, each
+//! holding one record in a fixed little-endian binary encoding (layout
+//! in DESIGN.md §6), and
 //! [`ServerLog::checkpoint`] takes a fuzzy checkpoint — a base volume
 //! snapshot, the active-transaction table (with prepared flags), the
 //! dirty page table, and the cumulative commit outcomes — then truncates
@@ -47,7 +50,7 @@
 //! assert!(cache.drain_txn(txn).is_empty());
 //! ```
 
-use pscc_common::{Oid, PageId, PsccError, SiteId, TxnId};
+use pscc_common::{FileId, Oid, PageId, PsccError, SiteId, TxnId, VolId};
 use pscc_storage::{SlottedPage, Volume};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -446,20 +449,23 @@ impl ServerLog {
     }
 
     /// Forces the log to disk; returns `true` if anything needed writing
-    /// (i.e. the engine should charge one log-disk I/O). Newly durable
-    /// records are serialized into the crash-surviving byte image.
+    /// (i.e. the engine should charge one log-disk I/O). Only the records
+    /// appended since the last force are framed into the crash-surviving
+    /// byte image: the tail is LSN-ordered, so the first unforced record
+    /// is found by binary search, and the cost is O(bytes newly forced)
+    /// rather than O(tail).
     pub fn force(&mut self) -> bool {
-        if self.durable_lsn < self.next_lsn {
-            for (lsn, rec) in &self.tail {
-                if lsn.0 > self.durable_lsn {
-                    encode_frame(&mut self.durable, *lsn, rec);
-                }
-            }
-            self.durable_lsn = self.next_lsn;
-            true
-        } else {
-            false
+        if self.durable_lsn == self.next_lsn {
+            return false;
         }
+        let first = self
+            .tail
+            .partition_point(|(lsn, _)| lsn.0 <= self.durable_lsn);
+        for (lsn, rec) in &self.tail[first..] {
+            encode_frame(&mut self.durable, *lsn, rec);
+        }
+        self.durable_lsn = self.next_lsn;
+        true
     }
 
     /// Takes a fuzzy checkpoint against `base` (the caller's current
@@ -615,20 +621,273 @@ fn fnv32(bytes: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// Appends one `[len | checksum | payload]` frame to `buf`.
+/// Appends one `[len | checksum | payload]` frame to `buf`, encoding the
+/// payload in place (see [`encode_record`]) so a force allocates nothing
+/// beyond the image's own growth.
 fn encode_frame(buf: &mut Vec<u8>, lsn: Lsn, rec: &LogRecord) {
-    let payload = serde_json::to_vec(&(lsn, rec)).expect("log record serializes");
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fnv32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let header = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    encode_record(buf, lsn, rec);
+    let payload = &buf[header + 8..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let sum = fnv32(payload).to_le_bytes();
+    buf[header..header + 4].copy_from_slice(&len);
+    buf[header + 4..header + 8].copy_from_slice(&sum);
+}
+
+// One-byte `LogPayload` tags of the binary record encoding.
+const TAG_UPDATE: u8 = 0;
+const TAG_CREATE: u8 = 1;
+const TAG_DELETE: u8 = 2;
+const TAG_PREPARE: u8 = 3;
+const TAG_COMMIT: u8 = 4;
+const TAG_ABORT: u8 = 5;
+const TAG_MIGRATE_BEGIN: u8 = 6;
+const TAG_MIGRATE_COMMIT: u8 = 7;
+const TAG_MIGRATE_ROLLBACK: u8 = 8;
+const TAG_MIGRATE_END: u8 = 9;
+const TAG_MIGRATE_IN: u8 = 10;
+const TAG_MIGRATE_IN_END: u8 = 11;
+const TAG_MIGRATE_LAND: u8 = 12;
+
+/// Little-endian writer for the record encoding.
+struct Enc<'a>(&'a mut Vec<u8>);
+
+impl Enc<'_> {
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+    fn u16(&mut self, v: u16) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn bytes(&mut self, v: &[u8]) {
+        self.u32(v.len() as u32);
+        self.0.extend_from_slice(v);
+    }
+    fn page(&mut self, p: PageId) {
+        self.u32(p.file.vol.0);
+        self.u32(p.file.file);
+        self.u32(p.page);
+    }
+    fn oid(&mut self, o: Oid) {
+        self.page(o.page);
+        self.u16(o.slot);
+    }
+}
+
+/// Appends the binary encoding of `(lsn, rec)` to `buf`: `lsn u64`,
+/// `txn.site u32`, `txn.seq u64`, a one-byte payload tag, then the
+/// variant's fields in declaration order — ids fixed-width, byte images
+/// as `u32` length plus raw bytes. All integers are little-endian.
+/// DESIGN.md §6 has the full layout.
+fn encode_record(buf: &mut Vec<u8>, lsn: Lsn, rec: &LogRecord) {
+    let mut e = Enc(buf);
+    e.u64(lsn.0);
+    e.u32(rec.txn.site.0);
+    e.u64(rec.txn.seq);
+    match &rec.payload {
+        LogPayload::Update { oid, before, after } => {
+            e.u8(TAG_UPDATE);
+            e.oid(*oid);
+            e.bytes(before);
+            e.bytes(after);
+        }
+        LogPayload::Create { oid, body } => {
+            e.u8(TAG_CREATE);
+            e.oid(*oid);
+            e.bytes(body);
+        }
+        LogPayload::Delete { oid, before } => {
+            e.u8(TAG_DELETE);
+            e.oid(*oid);
+            e.bytes(before);
+        }
+        LogPayload::Prepare => e.u8(TAG_PREPARE),
+        LogPayload::Commit => e.u8(TAG_COMMIT),
+        LogPayload::Abort => e.u8(TAG_ABORT),
+        LogPayload::MigrateBegin { lo, hi, to } => {
+            e.u8(TAG_MIGRATE_BEGIN);
+            e.u32(*lo);
+            e.u32(*hi);
+            e.u32(to.0);
+        }
+        LogPayload::MigrateCommit { lo, hi, to, layout } => {
+            e.u8(TAG_MIGRATE_COMMIT);
+            e.u32(*lo);
+            e.u32(*hi);
+            e.u32(to.0);
+            e.u64(*layout);
+        }
+        LogPayload::MigrateRollback { lo, hi } => {
+            e.u8(TAG_MIGRATE_ROLLBACK);
+            e.u32(*lo);
+            e.u32(*hi);
+        }
+        LogPayload::MigrateEnd { lo, hi } => {
+            e.u8(TAG_MIGRATE_END);
+            e.u32(*lo);
+            e.u32(*hi);
+        }
+        LogPayload::MigrateIn { from, page, image } => {
+            e.u8(TAG_MIGRATE_IN);
+            e.u32(from.0);
+            e.page(*page);
+            e.bytes(image.as_bytes());
+        }
+        LogPayload::MigrateInEnd {
+            from,
+            lo,
+            hi,
+            layout,
+            n,
+        } => {
+            e.u8(TAG_MIGRATE_IN_END);
+            e.u32(from.0);
+            e.u32(*lo);
+            e.u32(*hi);
+            e.u64(*layout);
+            e.u32(*n);
+        }
+        LogPayload::MigrateLand {
+            from,
+            lo,
+            hi,
+            layout,
+        } => {
+            e.u8(TAG_MIGRATE_LAND);
+            e.u32(from.0);
+            e.u32(*lo);
+            e.u32(*hi);
+            e.u64(*layout);
+        }
+    }
+}
+
+/// Little-endian reader for the record encoding; every read is bounds
+/// checked and yields `None` past the end.
+struct Dec<'a>(&'a [u8]);
+
+impl<'a> Dec<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+    fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+    fn bytes(&mut self) -> Option<Vec<u8>> {
+        let n = self.u32()? as usize;
+        self.take(n).map(<[u8]>::to_vec)
+    }
+    fn site(&mut self) -> Option<SiteId> {
+        self.u32().map(SiteId)
+    }
+    fn page(&mut self) -> Option<PageId> {
+        let vol = VolId(self.u32()?);
+        let file = self.u32()?;
+        Some(PageId::new(FileId::new(vol, file), self.u32()?))
+    }
+    fn oid(&mut self) -> Option<Oid> {
+        let page = self.page()?;
+        Some(Oid::new(page, self.u16()?))
+    }
+}
+
+/// Decodes one frame payload written by [`encode_record`]. `None` on an
+/// unknown tag, a short field, or trailing bytes.
+fn decode_record(payload: &[u8]) -> Option<(Lsn, LogRecord)> {
+    let mut d = Dec(payload);
+    let lsn = Lsn(d.u64()?);
+    let site = d.site()?;
+    let txn = TxnId::new(site, d.u64()?);
+    let payload = match d.u8()? {
+        TAG_UPDATE => LogPayload::Update {
+            oid: d.oid()?,
+            before: d.bytes()?,
+            after: d.bytes()?,
+        },
+        TAG_CREATE => LogPayload::Create {
+            oid: d.oid()?,
+            body: d.bytes()?,
+        },
+        TAG_DELETE => LogPayload::Delete {
+            oid: d.oid()?,
+            before: d.bytes()?,
+        },
+        TAG_PREPARE => LogPayload::Prepare,
+        TAG_COMMIT => LogPayload::Commit,
+        TAG_ABORT => LogPayload::Abort,
+        TAG_MIGRATE_BEGIN => LogPayload::MigrateBegin {
+            lo: d.u32()?,
+            hi: d.u32()?,
+            to: d.site()?,
+        },
+        TAG_MIGRATE_COMMIT => LogPayload::MigrateCommit {
+            lo: d.u32()?,
+            hi: d.u32()?,
+            to: d.site()?,
+            layout: d.u64()?,
+        },
+        TAG_MIGRATE_ROLLBACK => LogPayload::MigrateRollback {
+            lo: d.u32()?,
+            hi: d.u32()?,
+        },
+        TAG_MIGRATE_END => LogPayload::MigrateEnd {
+            lo: d.u32()?,
+            hi: d.u32()?,
+        },
+        TAG_MIGRATE_IN => LogPayload::MigrateIn {
+            from: d.site()?,
+            page: d.page()?,
+            image: SlottedPage::from_bytes(d.bytes()?),
+        },
+        TAG_MIGRATE_IN_END => LogPayload::MigrateInEnd {
+            from: d.site()?,
+            lo: d.u32()?,
+            hi: d.u32()?,
+            layout: d.u64()?,
+            n: d.u32()?,
+        },
+        TAG_MIGRATE_LAND => LogPayload::MigrateLand {
+            from: d.site()?,
+            lo: d.u32()?,
+            hi: d.u32()?,
+            layout: d.u64()?,
+        },
+        _ => return None,
+    };
+    d.0.is_empty().then_some((lsn, LogRecord { txn, payload }))
 }
 
 /// Decodes a durable log image back into `(lsn, record)` pairs.
 ///
 /// A crash can tear the tail of the image mid-frame; analysis must not
-/// panic on it. Decoding stops at the first incomplete or
-/// checksum-corrupt frame and reports it through the second return
-/// value — the intact prefix is the recoverable log.
+/// panic on it. Decoding stops at the first incomplete, checksum-corrupt
+/// or undecodable frame (unknown tag, short field, trailing bytes) and
+/// reports it through the second return value — the intact prefix is the
+/// recoverable log.
 pub fn decode_log(bytes: &[u8]) -> (Vec<(Lsn, LogRecord)>, bool) {
     let mut out = Vec::new();
     let mut at = 0usize;
@@ -646,9 +905,9 @@ pub fn decode_log(bytes: &[u8]) -> (Vec<(Lsn, LogRecord)>, bool) {
         if fnv32(payload) != sum {
             return (out, true); // corrupt frame
         }
-        match serde_json::from_slice::<(Lsn, LogRecord)>(payload) {
-            Ok(pair) => out.push(pair),
-            Err(_) => return (out, true),
+        match decode_record(payload) {
+            Some(pair) => out.push(pair),
+            None => return (out, true),
         }
         at = end;
     }
@@ -873,6 +1132,182 @@ mod tests {
         let (recs, torn) = decode_log(&corrupt);
         assert!(torn);
         assert_eq!(recs.len(), 1);
+    }
+
+    /// Frames `payload` with its true length and checksum, so only the
+    /// record decoder can reject it.
+    fn checksummed_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&fnv32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn hostile_frames_decode_as_torn_with_prefix_kept() {
+        let (_, oid, t1) = setup();
+        let mut log = ServerLog::new();
+        log.append(LogRecord::update(t1, oid, vec![1; 8], vec![2; 8]));
+        log.append(LogRecord {
+            txn: t1,
+            payload: LogPayload::Commit,
+        });
+        log.force();
+        let prefix = log.crash_image().log;
+
+        let mut update = Vec::new();
+        encode_record(
+            &mut update,
+            Lsn(3),
+            &LogRecord::update(t1, oid, vec![3; 4], vec![4; 4]),
+        );
+        // lsn u64 + site u32 + seq u64, then the tag; the oid follows it.
+        let tag_at = 20;
+        let before_len_at = tag_at + 1 + 14;
+
+        let mut unknown_tag = update.clone();
+        unknown_tag[tag_at] = 13;
+        let mut trailing = update.clone();
+        trailing.push(0);
+        let mut past_end = update.clone();
+        past_end[before_len_at..before_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let hostile = [
+            ("unknown tag", unknown_tag),
+            ("truncated field", update[..update.len() - 1].to_vec()),
+            ("truncated id", update[..tag_at - 3].to_vec()),
+            ("trailing bytes", trailing),
+            ("inner length past the frame", past_end),
+        ];
+        for (what, payload) in hostile {
+            let mut image = prefix.clone();
+            image.extend_from_slice(&checksummed_frame(&payload));
+            let (recs, torn) = decode_log(&image);
+            assert!(torn, "{what}: must decode as torn");
+            assert_eq!(recs.len(), 2, "{what}: intact prefix must survive");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_every_variant_is_rejected() {
+        let (vol, oid, t1) = setup();
+        let payloads = [
+            LogPayload::Update {
+                oid,
+                before: vec![1; 3],
+                after: vec![],
+            },
+            LogPayload::Create { oid, body: vec![5] },
+            LogPayload::Delete {
+                oid,
+                before: vec![],
+            },
+            LogPayload::Prepare,
+            LogPayload::Commit,
+            LogPayload::Abort,
+            LogPayload::MigrateBegin {
+                lo: 1,
+                hi: 2,
+                to: SiteId(3),
+            },
+            LogPayload::MigrateCommit {
+                lo: 1,
+                hi: 2,
+                to: SiteId(3),
+                layout: 4,
+            },
+            LogPayload::MigrateRollback { lo: 1, hi: 2 },
+            LogPayload::MigrateEnd { lo: 1, hi: 2 },
+            LogPayload::MigrateIn {
+                from: SiteId(1),
+                page: oid.page,
+                image: vol.page(oid.page).unwrap().clone(),
+            },
+            LogPayload::MigrateInEnd {
+                from: SiteId(1),
+                lo: 1,
+                hi: 2,
+                layout: 4,
+                n: 1,
+            },
+            LogPayload::MigrateLand {
+                from: SiteId(1),
+                lo: 1,
+                hi: 2,
+                layout: 4,
+            },
+        ];
+        for payload in payloads {
+            let rec = LogRecord { txn: t1, payload };
+            let mut bytes = Vec::new();
+            encode_record(&mut bytes, Lsn(9), &rec);
+            assert_eq!(decode_record(&bytes), Some((Lsn(9), rec.clone())));
+            for cut in 0..bytes.len() {
+                assert_eq!(decode_record(&bytes[..cut]), None, "{rec:?} cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_force_survives_checkpoint_and_recovery() {
+        let (vol, oid, t1) = setup();
+        let mut log = ServerLog::new();
+        let mut durable: Vec<Lsn> = Vec::new();
+        let append = |log: &mut ServerLog, n: u8| -> Vec<Lsn> {
+            (0..n)
+                .map(|i| log.append(LogRecord::update(t1, oid, vec![i], vec![i + 1])))
+                .collect()
+        };
+        // Every forced record exactly once, in order; nothing unforced.
+        let check = |log: &ServerLog, durable: &[Lsn]| {
+            let (recs, torn) = decode_log(&log.crash_image().log);
+            assert!(!torn);
+            let lsns: Vec<Lsn> = recs.iter().map(|(l, _)| *l).collect();
+            assert_eq!(lsns, durable);
+        };
+        // A force with nothing new writes nothing and changes no byte.
+        let idle_force = |log: &mut ServerLog| {
+            let before = log.crash_image().log;
+            assert!(!log.force());
+            assert_eq!(log.crash_image().log, before);
+        };
+
+        durable.extend(append(&mut log, 3));
+        assert!(log.force());
+        durable.extend(append(&mut log, 2));
+        assert!(log.force());
+        idle_force(&mut log);
+        append(&mut log, 2); // unforced: absent from the image
+        check(&log, &durable);
+
+        // The checkpoint forces the two, then truncates the image.
+        assert!(log.checkpoint(vol.clone()));
+        durable.clear();
+        check(&log, &durable);
+        idle_force(&mut log);
+        durable.extend(append(&mut log, 2));
+        assert!(log.force());
+        check(&log, &durable);
+        idle_force(&mut log);
+        append(&mut log, 1);
+        check(&log, &durable);
+
+        // Restart from the durable LSN: the unforced record is gone and
+        // LSN allocation resumes past the image.
+        let max = *durable.last().unwrap();
+        let mut log = ServerLog::after_recovery(max, HashMap::new(), HashSet::new());
+        durable.clear();
+        idle_force(&mut log);
+        let resumed = append(&mut log, 3);
+        assert_eq!(resumed[0], Lsn(max.0 + 1));
+        durable.extend(&resumed);
+        assert!(log.force());
+        check(&log, &durable);
+        idle_force(&mut log);
+        assert!(!log.checkpoint(vol), "nothing new to force");
+        durable.clear();
+        durable.extend(append(&mut log, 1));
+        assert!(log.force());
+        check(&log, &durable);
     }
 
     #[test]
