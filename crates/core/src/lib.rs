@@ -76,8 +76,8 @@ pub mod txn;
 pub use engine::large::{decode_header_oid, encode_header_oid};
 pub use engine::{DrainPhase, MigrationPhase, PeerServer};
 pub use msg::{
-    AppOp, AppReply, AppRequest, CbId, CbTarget, DeId, DiskOp, DiskReqId, Input, Message, Output,
-    ReqId, TimerId,
+    AppOp, AppReply, AppRequest, CbId, CbTarget, DeId, DiskOp, DiskReqId, Input, Lane, Message,
+    Output, Path, ReqId, TimerId,
 };
 pub use owner_map::{OwnerMap, OwnershipError};
 pub use ownership::{LayoutImage, OwnershipDirectory};

@@ -89,6 +89,33 @@ impl CbTarget {
     }
 }
 
+/// The FIFO path a message travels on. Delivery is FIFO per (sender,
+/// receiver, path); messages on different paths may overtake each
+/// other, which is what makes the §4.2.4 callback and deescalation races
+/// possible. The discriminant is the transport's path id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Path {
+    /// Client → owner requests and their resolutions, FIFO end to end
+    /// (SHORE's piggybacking gives the same guarantee), plus the
+    /// large-object and forwarded-object traffic of both directions.
+    Request = 0,
+    /// Owner → client replies and verdicts.
+    Reply = 1,
+    /// Owner → client callbacks, cancels, deescalations and the edge
+    /// protocol.
+    Callback = 2,
+}
+
+/// The transport lane a message rides under load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// Drained first and never shed.
+    Consistency,
+    /// Fetch and page traffic; queues behind consistency traffic and is
+    /// shed first.
+    Bulk,
+}
+
 /// Peer-to-peer protocol messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
@@ -739,8 +766,8 @@ impl Message {
     /// ships dominate; everything else is small and fixed-ish.
     pub fn wire_size(&self) -> usize {
         match self {
-            // The envelope itself costs one context's worth of bytes.
-            Message::Traced { inner, .. } => 32 + inner.wire_size(),
+            // Tracing must not move virtual time: the envelope is free.
+            Message::Traced { inner, .. } => inner.wire_size(),
             Message::ReadReply { snapshot, .. } => snapshot.wire_size(),
             Message::CommitReq { records, .. } | Message::Prepare { records, .. } => {
                 64 + records.iter().map(LogRecord::wire_size).sum::<usize>()
@@ -773,77 +800,116 @@ impl Message {
         }
     }
 
-    /// Whether this message is *consistency traffic*: callbacks and
-    /// their resolutions, deescalations, commit/2PC control, aborts,
-    /// liveness, rejoin/epoch handshakes, and flow-control verdicts.
-    /// Transports drain this lane ahead of bulk fetch traffic and never
-    /// shed it — dropping any of these can wedge a writer waiting on a
-    /// callback or stall 2PC (the §4.2.4 failure mode induced by load).
-    pub fn is_consistency(&self) -> bool {
-        if let Message::Traced { inner, .. } = self {
-            return inner.is_consistency();
-        }
-        matches!(
-            self,
-            // Callbacks/deescalations, commit/2PC/abort control,
-            // liveness and rejoin/epoch fencing, and flow-control
-            // verdicts (a shed `Busy` must not itself be shed).
+    /// The path and lane of this message: the single routing table. Every
+    /// transport derives from it — the harnesses send on the [`Path`] as
+    /// their transport path id, and the two-lane mailboxes classify by
+    /// the [`Lane`] ([`Self::is_consistency`]). Adding a variant without
+    /// routing it here does not compile.
+    pub fn route(&self) -> (Path, Lane) {
+        use Lane::{Bulk, Consistency};
+        use Path::{Callback, Reply, Request};
+        match self {
+            // A tracing envelope rides whatever route its payload would.
+            Message::Traced { inner, .. } => inner.route(),
+            // Fetches, page ships and write-permission traffic: bulk, and
+            // shed first under overload. The large-object and forwarded
+            // replies share the request path with `LargeInval`, so an
+            // invalidation never overtakes the page it invalidates. The
+            // page-image `TransferChunk` is the one bulk migration message.
+            Message::ReadObj { .. }
+            | Message::ReadPage { .. }
+            | Message::WriteObj { .. }
+            | Message::WritePage { .. }
+            | Message::LockItem { .. }
+            | Message::Purge { .. }
+            | Message::FetchLargePage { .. }
+            | Message::LargePageReply { .. }
+            | Message::WriteLargeReq { .. }
+            | Message::WriteLargeOk { .. }
+            | Message::CreateLargeReq { .. }
+            | Message::CreateLargeOk { .. }
+            | Message::ReadForwarded { .. }
+            | Message::ObjectBytes { .. }
+            | Message::TransferChunk { .. } => (Request, Bulk),
+            Message::ReadReply { .. }
+            | Message::WriteGranted { .. }
+            | Message::LockGranted { .. } => (Reply, Bulk),
+            // Consistency traffic: callback resolutions, commit/2PC/abort
+            // control, liveness and rejoin/epoch fencing, control-plane
+            // and migration control. Transports drain this lane ahead of
+            // bulk and never shed it — dropping any of these can wedge a
+            // writer waiting on a callback or stall 2PC (the §4.2.4
+            // failure mode induced by load). No timer re-drives a lost
+            // `LargeInval`, so it must not be shed either.
+            Message::CbBlocked { .. }
+            | Message::CbOk { .. }
+            | Message::CbTimeout { .. }
+            | Message::DeescalateReply { .. }
+            | Message::CommitReq { .. }
+            | Message::Prepare { .. }
+            | Message::Decide { .. }
+            | Message::AbortTxn { .. }
+            | Message::Heartbeat
+            | Message::LargeInval { .. }
+            | Message::LargeInvalOk { .. }
+            | Message::Rejoin { .. }
+            | Message::QueryTxn { .. }
+            | Message::DrainReq { .. }
+            | Message::UndrainReq { .. }
+            | Message::MigratePrepare { .. }
+            | Message::MigrateTransfer { .. }
+            | Message::MigrateAbortReq { .. }
+            | Message::SetTierReq { .. }
+            | Message::SetTierOk { .. } => (Request, Consistency),
+            // Verdicts, including the flow-control `Busy` (a shed `Busy`
+            // must not itself be shed) and the fencing `WrongOwner` (a
+            // shed one wedges the redirected client).
+            Message::ReqDenied { .. }
+            | Message::CommitOk { .. }
+            | Message::Voted { .. }
+            | Message::Decided { .. }
+            | Message::TxnAborted { .. }
+            | Message::RejoinRequired { .. }
+            | Message::RejoinOk { .. }
+            | Message::TxnResolved { .. }
+            | Message::Busy { .. }
+            | Message::DrainOk { .. }
+            | Message::UndrainOk { .. }
+            | Message::WrongOwner { .. }
+            | Message::MigratePrepared { .. }
+            | Message::MigrateDone { .. }
+            | Message::MigrateAborted { .. }
+            | Message::TransferAck { .. }
+            | Message::MigrateActivate { .. }
+            | Message::MigrateActivated { .. }
+            | Message::QueryMigration { .. }
+            | Message::MigrationResolved { .. } => (Reply, Consistency),
+            // Callbacks and deescalations overtake replies — the §4.2.4
+            // races. The edge tier's staleness proof needs every edge
+            // message on this one path: an `EdgeRenewOk` must not
+            // overtake the `EdgeInvalidate`s published before it, nor an
+            // `EdgePage` the invalidation that supersedes it (DESIGN.md
+            // §11).
             Message::Callback { .. }
-                | Message::CbBlocked { .. }
-                | Message::CbOk { .. }
-                | Message::CbTimeout { .. }
-                | Message::CbCancel { .. }
-                | Message::Deescalate { .. }
-                | Message::DeescalateReply { .. }
-                | Message::CommitReq { .. }
-                | Message::CommitOk { .. }
-                | Message::Prepare { .. }
-                | Message::Voted { .. }
-                | Message::Decide { .. }
-                | Message::Decided { .. }
-                | Message::AbortTxn { .. }
-                | Message::TxnAborted { .. }
-                | Message::Heartbeat
-                | Message::RejoinRequired { .. }
-                | Message::Rejoin { .. }
-                | Message::RejoinOk { .. }
-                | Message::QueryTxn { .. }
-                | Message::TxnResolved { .. }
-                | Message::Busy { .. }
-                | Message::ReqDenied { .. }
-                | Message::DrainReq { .. }
-                | Message::DrainOk { .. }
-                | Message::UndrainReq { .. }
-                | Message::UndrainOk { .. }
-                // Migration control and fencing verdicts must never
-                // queue behind the bulk lane: a shed WrongOwner wedges
-                // the redirected client, a delayed MigrateActivate
-                // leaves the range ownerless. Only the page-image
-                // TransferChunk is bulk.
-                | Message::MigratePrepare { .. }
-                | Message::MigratePrepared { .. }
-                | Message::MigrateTransfer { .. }
-                | Message::MigrateAbortReq { .. }
-                | Message::MigrateAborted { .. }
-                | Message::MigrateDone { .. }
-                | Message::TransferAck { .. }
-                | Message::MigrateActivate { .. }
-                | Message::MigrateActivated { .. }
-                | Message::QueryMigration { .. }
-                | Message::MigrationResolved { .. }
-                | Message::WrongOwner { .. }
-                // The entire edge protocol rides the consistency lane:
-                // staleness bounds are proved from per-(from,to,path)
-                // FIFO between fetches, renews, and invalidations, so
-                // none of them may be shed or queue behind bulk pages.
-                | Message::EdgeFetch { .. }
-                | Message::EdgePage { .. }
-                | Message::EdgeInvalidate { .. }
-                | Message::EdgeRenew { .. }
-                | Message::EdgeRenewOk { .. }
-                | Message::SetTierReq { .. }
-                | Message::SetTierOk { .. }
-        )
+            | Message::CbCancel { .. }
+            | Message::Deescalate { .. }
+            | Message::EdgeFetch { .. }
+            | Message::EdgePage { .. }
+            | Message::EdgeInvalidate { .. }
+            | Message::EdgeRenew { .. }
+            | Message::EdgeRenewOk { .. } => (Callback, Consistency),
+        }
+    }
+
+    /// The FIFO path this message travels on (see [`Self::route`]).
+    pub fn path(&self) -> Path {
+        self.route().0
+    }
+
+    /// Whether this message rides the consistency lane (see
+    /// [`Self::route`]).
+    pub fn is_consistency(&self) -> bool {
+        self.route().1 == Lane::Consistency
     }
 
     /// Whether this message is control-plane traffic from/to the cluster
@@ -1258,130 +1324,218 @@ mod tests {
 
     #[test]
     fn consistency_lane_classification() {
-        let t = TxnId {
-            site: SiteId(1),
-            seq: 1,
-        };
-        // Consistency lane: callbacks, commit control, flow verdicts.
-        assert!(Message::CbCancel { cb: CbId(1) }.is_consistency());
-        assert!(Message::Decide {
-            txn: t,
-            commit: true
+        // The lanes are pinned per variant below; this checks the
+        // classifiers that ride alongside them.
+        let by_label: std::collections::HashMap<&str, Message> =
+            one_of_each().into_iter().map(|m| (m.label(), m)).collect();
+        for msg in by_label.values() {
+            // Control-plane traffic rides the lossless lane: a shed
+            // DrainReq would wedge the supervisor's step timeout.
+            assert!(!msg.is_control_plane() || msg.is_consistency(), "{msg:?}");
         }
-        .is_consistency());
-        assert!(Message::Busy {
-            req: ReqId(1),
-            retry_after: SimDuration::from_millis(10),
+        // Migration control is control-plane; the peer-to-peer handshake
+        // and the edge protocol are not. The tier roll is, like the
+        // other supervisor ops.
+        for (label, control) in [
+            ("drain_req", true),
+            ("heartbeat", false),
+            ("migrate_prepare", true),
+            ("migrate_activate", false),
+            ("edge_fetch", false),
+            ("set_tier_req", true),
+            ("set_tier_ok", true),
+        ] {
+            assert_eq!(by_label[label].is_control_plane(), control, "{label}");
         }
-        .is_consistency());
-        assert!(Message::Heartbeat.is_consistency());
-        // Control-plane drain traffic rides the lossless lane too: a
-        // shed DrainReq would wedge the supervisor's step timeout.
-        assert!(Message::DrainReq { req: ReqId(7) }.is_consistency());
-        assert!(Message::DrainOk { req: ReqId(7) }.is_consistency());
-        assert!(Message::UndrainReq { req: ReqId(8) }.is_consistency());
-        assert!(Message::UndrainOk { req: ReqId(8) }.is_consistency());
-        assert!(Message::DrainReq { req: ReqId(7) }.is_control_plane());
-        assert!(!Message::Heartbeat.is_control_plane());
-        // Migration control is control-plane *and* consistency; the
-        // peer-to-peer handshake is consistency but not control-plane;
-        // the page-image chunk is bulk.
-        let prep = Message::MigratePrepare {
-            req: ReqId(9),
-            lo: 0,
-            hi: 8,
-            to: SiteId(2),
-        };
-        assert!(prep.is_control_plane());
-        assert!(prep.is_consistency());
-        let act = Message::MigrateActivate {
-            lo: 0,
-            hi: 8,
-            layout: 2,
-        };
-        assert!(act.is_consistency());
-        assert!(!act.is_control_plane());
-        let wrong = Message::WrongOwner {
-            req: ReqId(9),
-            lo: 0,
-            hi: 8,
-            layout: 2,
-            new_owner: SiteId(2),
-        };
-        assert!(wrong.is_consistency());
-        assert_eq!(wrong.req_of_reply(), Some(ReqId(9)));
-        let chunk = Message::TransferChunk {
-            lo: 0,
-            hi: 8,
-            layout: 2,
-            pages: vec![(
-                PageId::new(FileId::new(VolId(0), 0), 1),
-                SlottedPage::new(4096),
-            )],
-            copies: vec![],
-        };
-        assert!(!chunk.is_consistency());
-        assert!(chunk.wire_size() > 4000);
-        // Bulk lane: fetches and write-permission traffic.
-        let p = PageId::new(FileId::new(VolId(0), 0), 1);
-        assert!(!Message::ReadPage {
-            req: ReqId(1),
-            txn: t,
-            page: p,
+        for label in ["wrong_owner", "edge_page"] {
+            assert_eq!(by_label[label].req_of_reply(), Some(ReqId(1)), "{label}");
         }
-        .is_consistency());
-        assert!(!Message::WriteObj {
-            req: ReqId(1),
-            txn: t,
-            oid: Oid::new(p, 0),
+        for label in ["edge_fetch", "edge_renew"] {
+            assert_eq!(by_label[label].req_of_request(), Some(ReqId(1)), "{label}");
         }
-        .is_consistency());
-        // The whole edge protocol is consistency traffic (the staleness
-        // bound depends on FIFO between fetches and invalidations), and
-        // the tier roll is control-plane like the other supervisor ops.
-        let fetch = Message::EdgeFetch {
-            req: ReqId(3),
-            page: p,
-            watch: true,
-            lease: SimDuration::from_millis(100),
-        };
-        assert!(fetch.is_consistency());
-        assert!(!fetch.is_control_plane());
-        assert_eq!(fetch.req_of_request(), Some(ReqId(3)));
-        let epage = Message::EdgePage {
-            req: ReqId(3),
-            page: p,
-            version: 1,
-            epoch: 0,
-            image: SlottedPage::new(4096),
-        };
-        assert!(epage.is_consistency());
-        assert_eq!(epage.req_of_reply(), Some(ReqId(3)));
-        assert!(epage.wire_size() > 4000);
-        assert!(Message::EdgeInvalidate {
-            pages: vec![(p, 2)]
+        for label in ["transfer_chunk", "edge_page"] {
+            assert!(by_label[label].wire_size() > 4000, "{label}");
         }
-        .is_consistency());
-        let renew = Message::EdgeRenew {
-            req: ReqId(4),
-            lease: SimDuration::from_millis(100),
-            files: vec![0],
-        };
-        assert!(renew.is_consistency());
-        assert_eq!(renew.req_of_request(), Some(ReqId(4)));
-        assert!(Message::EdgeRenewOk {
-            req: ReqId(4),
-            epoch: 0,
-            resubscribed: false
+    }
+
+    /// One sample of every non-envelope `Message` variant, in
+    /// declaration order.
+    #[rustfmt::skip]
+    fn one_of_each() -> Vec<Message> {
+        use Message::*;
+        let (req, inv, cb, de) = (ReqId(1), ReqId(2), CbId(1), DeId(1));
+        let (txn, site, d) = (TxnId::new(SiteId(1), 1), SiteId(2), SimDuration::from_millis(1));
+        let page = PageId::new(FileId::new(VolId(0), 0), 1);
+        let oid = Oid::new(page, 0);
+        let image = SlottedPage::new(4096);
+        let snapshot = PageSnapshot { page, image: image.clone(), avail: AvailMask::all_available(1), ship_seq: 1 };
+        let lock = (txn, LockableId::Page(page), LockMode::Sh);
+        vec![
+            ReadObj { req, txn, oid },
+            ReadPage { req, txn, page },
+            ReadReply { req, snapshot },
+            WriteObj { req, txn, oid },
+            WritePage { req, txn, page },
+            WriteGranted { req, adaptive: true },
+            LockItem { req, txn, item: lock.1, mode: lock.2 },
+            LockGranted { req },
+            ReqDenied { req, reason: AbortReason::Deadlock },
+            Callback { cb, txn, target: CbTarget::Object(oid) },
+            CbBlocked { cb, holders: vec![lock] },
+            CbOk { cb, purged_page: true },
+            CbTimeout { cb },
+            CbCancel { cb },
+            Deescalate { de, page },
+            DeescalateReply { de, page, ex_locks: vec![(txn, oid)] },
+            Purge { client: site, page, ship_seq: 1, replicate: vec![lock], log_records: vec![] },
+            CommitReq { req, txn, records: vec![] },
+            CommitOk { req },
+            Prepare { req, txn, records: vec![] },
+            Voted { req, txn, yes: true },
+            Decide { txn, commit: true },
+            Decided { txn },
+            AbortTxn { txn },
+            TxnAborted { txn, reason: AbortReason::Deadlock },
+            Heartbeat,
+            FetchLargePage { req, page },
+            LargePageReply { req, page, bytes: vec![1] },
+            WriteLargeReq { req, txn, header: oid, offset: 0, bytes: vec![1] },
+            WriteLargeOk { req },
+            LargeInval { inv, pages: vec![page] },
+            LargeInvalOk { inv },
+            CreateLargeReq { req, txn, header_page: page, content: vec![1] },
+            CreateLargeOk { req, header: oid },
+            ReadForwarded { req, txn, oid },
+            ObjectBytes { req, bytes: None },
+            RejoinRequired { epoch: 1 },
+            Rejoin { epoch: 1 },
+            RejoinOk { epoch: 1 },
+            QueryTxn { txn },
+            TxnResolved { txn, committed: true },
+            Busy { req, retry_after: d },
+            DrainReq { req },
+            DrainOk { req },
+            UndrainReq { req },
+            UndrainOk { req },
+            MigratePrepare { req, lo: 0, hi: 8, to: site },
+            MigratePrepared { req },
+            MigrateTransfer { req },
+            MigrateAbortReq { req },
+            MigrateAborted { req, committed: false },
+            MigrateDone { req, layout: 2 },
+            TransferChunk { lo: 0, hi: 8, layout: 2, pages: vec![(page, image.clone())], copies: vec![(page, site, 1)] },
+            TransferAck { lo: 0, hi: 8 },
+            MigrateActivate { lo: 0, hi: 8, layout: 2 },
+            MigrateActivated { lo: 0, hi: 8, layout: 2 },
+            QueryMigration { lo: 0, hi: 8, layout: 2 },
+            MigrationResolved { lo: 0, hi: 8, layout: 2, committed: true },
+            WrongOwner { req, lo: 0, hi: 8, layout: 2, new_owner: site },
+            EdgeFetch { req, page, watch: true, lease: d },
+            EdgePage { req, page, version: 1, epoch: 0, image },
+            EdgeInvalidate { pages: vec![(page, 2)] },
+            EdgeRenew { req, lease: d, files: vec![0] },
+            EdgeRenewOk { req, epoch: 0, resubscribed: false },
+            SetTierReq { req, file: 0, tier: pscc_common::ConsistencyTier::Strict },
+            SetTierOk { req },
+        ]
+    }
+
+    /// Every variant's route, pinned: a route decides which messages may
+    /// overtake which, so changing one is a protocol decision that must
+    /// change this table too.
+    #[rustfmt::skip]
+    const PINNED_ROUTES: [(&str, Path, Lane); 66] = {
+        use Lane::{Bulk, Consistency};
+        use Path::{Callback, Reply, Request};
+        [
+            ("read_obj", Request, Bulk),
+            ("read_page", Request, Bulk),
+            ("read_reply", Reply, Bulk),
+            ("write_obj", Request, Bulk),
+            ("write_page", Request, Bulk),
+            ("write_granted", Reply, Bulk),
+            ("lock_item", Request, Bulk),
+            ("lock_granted", Reply, Bulk),
+            ("req_denied", Reply, Consistency),
+            ("callback", Callback, Consistency),
+            ("cb_blocked", Request, Consistency),
+            ("cb_ok", Request, Consistency),
+            ("cb_timeout", Request, Consistency),
+            ("cb_cancel", Callback, Consistency),
+            ("deescalate", Callback, Consistency),
+            ("deescalate_reply", Request, Consistency),
+            ("purge", Request, Bulk),
+            ("commit_req", Request, Consistency),
+            ("commit_ok", Reply, Consistency),
+            ("prepare", Request, Consistency),
+            ("voted", Reply, Consistency),
+            ("decide", Request, Consistency),
+            ("decided", Reply, Consistency),
+            ("abort_txn", Request, Consistency),
+            ("txn_aborted", Reply, Consistency),
+            ("heartbeat", Request, Consistency),
+            ("fetch_large_page", Request, Bulk),
+            ("large_page_reply", Request, Bulk),
+            ("write_large_req", Request, Bulk),
+            ("write_large_ok", Request, Bulk),
+            ("large_inval", Request, Consistency), // nothing re-drives a lost one
+            ("large_inval_ok", Request, Consistency), // nothing re-drives a lost one
+            ("create_large_req", Request, Bulk),
+            ("create_large_ok", Request, Bulk),
+            ("read_forwarded", Request, Bulk),
+            ("object_bytes", Request, Bulk),
+            ("rejoin_required", Reply, Consistency),
+            ("rejoin", Request, Consistency),
+            ("rejoin_ok", Reply, Consistency),
+            ("query_txn", Request, Consistency),
+            ("txn_resolved", Reply, Consistency),
+            ("busy", Reply, Consistency),
+            ("drain_req", Request, Consistency),
+            ("drain_ok", Reply, Consistency),
+            ("undrain_req", Request, Consistency),
+            ("undrain_ok", Reply, Consistency),
+            ("migrate_prepare", Request, Consistency),
+            ("migrate_prepared", Reply, Consistency),
+            ("migrate_transfer", Request, Consistency),
+            ("migrate_abort_req", Request, Consistency),
+            ("migrate_aborted", Reply, Consistency),
+            ("migrate_done", Reply, Consistency),
+            ("transfer_chunk", Request, Bulk),
+            ("transfer_ack", Reply, Consistency),
+            ("migrate_activate", Reply, Consistency),
+            ("migrate_activated", Reply, Consistency),
+            ("query_migration", Reply, Consistency),
+            ("migration_resolved", Reply, Consistency),
+            ("wrong_owner", Reply, Consistency),
+            ("edge_fetch", Callback, Consistency),
+            ("edge_page", Callback, Consistency),
+            ("edge_invalidate", Callback, Consistency),
+            ("edge_renew", Callback, Consistency),
+            ("edge_renew_ok", Callback, Consistency),
+            ("set_tier_req", Request, Consistency),
+            ("set_tier_ok", Request, Consistency),
+        ]
+    };
+
+    #[test]
+    fn routing_table_matches_pinned_routes() {
+        let samples = one_of_each();
+        assert_eq!(samples.len(), PINNED_ROUTES.len());
+        for (msg, (label, path, lane)) in samples.into_iter().zip(PINNED_ROUTES) {
+            assert_eq!(msg.label(), label, "samples and pins out of order");
+            assert_eq!(msg.route(), (path, lane), "{label}");
+            let ctx = TraceCtx {
+                txn: TxnId::new(SiteId(1), 1),
+                origin: SiteId(1),
+                span: SpanId(1),
+                parent: SpanId::NONE,
+            };
+            let traced = Message::Traced {
+                ctx,
+                inner: Box::new(msg),
+            };
+            assert_eq!(traced.route(), (path, lane), "traced {label}");
         }
-        .is_consistency());
-        let set = Message::SetTierReq {
-            req: ReqId(5),
-            file: 0,
-            tier: pscc_common::ConsistencyTier::Strict,
-        };
-        assert!(set.is_control_plane() && set.is_consistency());
-        assert!(Message::SetTierOk { req: ReqId(5) }.is_control_plane());
     }
 
     #[test]
@@ -1407,7 +1561,7 @@ mod tests {
         assert!(!wrapped.is_control_plane());
         assert_eq!(wrapped.txn_id(), Some(t));
         assert_eq!(wrapped.label(), "decide");
-        assert_eq!(wrapped.wire_size(), inner.wire_size() + 32);
+        assert_eq!(wrapped.wire_size(), inner.wire_size());
         let req = Message::ReadObj {
             req: ReqId(3),
             txn: t,

@@ -77,8 +77,9 @@ const RECV_POLL_SLICE: Duration = Duration::from_micros(500);
 
 /// Decides the lane of an outbound message: `true` routes it onto the
 /// never-shed priority (consistency) lane, `false` onto the sheddable
-/// bulk lane. The engine's `Message::is_consistency` is the canonical
-/// classifier; the transport stays generic over the payload type.
+/// bulk lane. The engine's classifier is `Message::is_consistency`, the
+/// lane column of its single routing table `Message::route`; the
+/// transport stays generic over the payload type.
 pub type LaneClassifier<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
 
 /// One of the parallel communication paths between a pair of peers.

@@ -429,8 +429,6 @@ fn reader_loop<M: DeserializeOwned + Send + 'static>(
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<M> {
     fn send(&self, to: SiteId, path: PathId, msg: M) {
-        #[cfg(feature = "spans")]
-        let _span = pscc_obs::span("tcp_send");
         #[cfg(feature = "fault-inject")]
         let msg = {
             let action = self

@@ -2,12 +2,13 @@
 //! tests, and interactive exploration — the synchronous counterpart of
 //! the discrete-event [`Simulation`](crate::Simulation).
 //!
-//! Messages travel over a seeded [`pscc_net::SeededNet`] with the
-//! production path discipline (client→owner traffic on one FIFO path;
-//! replies and callbacks on separate paths, so the §4.2.4 races remain
-//! possible); disks complete after a fixed latency; timers fire at their
+//! Messages travel over a seeded [`pscc_net::SeededNet`], one FIFO path
+//! per [`pscc_core::Path`] of the routing table [`Message::route`]:
+//! replies and callbacks ride separate paths, so the §4.2.4 races remain
+//! possible. Disks complete after a fixed latency; timers fire at their
 //! due times. All scheduling is driven by a seed, so every run is
-//! reproducible.
+//! reproducible. [`Cluster::drain`] delivers one path by hand, for tests
+//! that reconstruct a race step by step.
 
 use crate::chaos::{FaultDecision, FaultPlan};
 use pscc_common::{AppId, PsccError, SimDuration, SimTime, SiteId, SystemConfig, TxnId};
@@ -17,7 +18,7 @@ use pscc_control::{
 };
 use pscc_core::{
     AppOp, AppReply, AppRequest, DiskReqId, DrainPhase, Input, Message, MigrationPhase, Output,
-    OwnerMap, PeerServer, ReqId, TimerId,
+    OwnerMap, Path, PeerServer, ReqId, TimerId,
 };
 use pscc_net::{PathId, SeededNet};
 use pscc_obs::EventKind;
@@ -31,54 +32,6 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// inbox, and replies *to* it are intercepted by the harness before
 /// routing (no site index exists for it).
 pub const CONTROLLER: SiteId = SiteId(u32::MAX);
-
-/// The path each message kind travels on (per-path FIFO; see crate docs).
-pub fn path_for(msg: &Message) -> PathId {
-    // A tracing envelope rides whatever path its payload would.
-    if let Message::Traced { inner, .. } = msg {
-        return path_for(inner);
-    }
-    match msg {
-        Message::ReadReply { .. }
-        | Message::WriteGranted { .. }
-        | Message::LockGranted { .. }
-        | Message::ReqDenied { .. }
-        | Message::CommitOk { .. }
-        | Message::Voted { .. }
-        | Message::Decided { .. }
-        | Message::TxnAborted { .. }
-        | Message::RejoinRequired { .. }
-        | Message::RejoinOk { .. }
-        | Message::TxnResolved { .. }
-        | Message::Busy { .. }
-        | Message::DrainOk { .. }
-        | Message::UndrainOk { .. }
-        | Message::WrongOwner { .. }
-        | Message::MigratePrepared { .. }
-        | Message::MigrateDone { .. }
-        | Message::MigrateAborted { .. }
-        | Message::TransferAck { .. }
-        | Message::MigrateActivate { .. }
-        | Message::MigrateActivated { .. }
-        | Message::QueryMigration { .. }
-        | Message::MigrationResolved { .. } => PathId(1),
-        // The edge tier's staleness proof needs every edge message on
-        // ONE lane: an `EdgeRenewOk` must not overtake the
-        // `EdgeInvalidate`s published before it, and an `EdgePage` must
-        // not overtake the invalidation that supersedes it
-        // (DESIGN.md §11). They share the callback lane, which already
-        // carries the owner-to-client consistency traffic.
-        Message::Callback { .. }
-        | Message::CbCancel { .. }
-        | Message::Deescalate { .. }
-        | Message::EdgeFetch { .. }
-        | Message::EdgePage { .. }
-        | Message::EdgeInvalidate { .. }
-        | Message::EdgeRenew { .. }
-        | Message::EdgeRenewOk { .. } => PathId(2),
-        _ => PathId(0),
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Sched {
@@ -433,8 +386,7 @@ impl Cluster {
         for o in outs {
             match o {
                 Output::Send { to, msg } => {
-                    let path = path_for(&msg);
-                    self.route(site, to, path, msg);
+                    self.route(site, to, PathId(msg.path() as u8), msg);
                 }
                 Output::Disk { req, .. } => {
                     self.sched.push((
@@ -579,6 +531,41 @@ impl Cluster {
             }
         }
         panic!("cluster did not reach the pump_for deadline");
+    }
+
+    /// Delivers every message queued from `from` to `to` on `path`, in
+    /// FIFO order: the staged-delivery instrument for reconstructing a
+    /// race. The receiver's disk requests complete inline and its timers
+    /// are ignored, so only the messages the test releases move the
+    /// protocol forward.
+    pub fn drain(&mut self, from: SiteId, to: SiteId, path: Path) {
+        while let Some(env) = self.net.deliver_from(from, to, PathId(path as u8)) {
+            let now = self.now;
+            let outs = self.sites[to.0 as usize].handle(
+                now,
+                Input::Msg {
+                    from: env.from,
+                    msg: env.msg,
+                },
+            );
+            self.run_staged(to, outs);
+        }
+    }
+
+    /// [`Self::run_outputs`] for [`Self::drain`]: disks complete inline
+    /// and timers are dropped.
+    fn run_staged(&mut self, site: SiteId, outs: Vec<Output>) {
+        for o in outs {
+            match o {
+                Output::Disk { req, .. } => {
+                    let now = self.now;
+                    let more = self.sites[site.0 as usize].handle(now, Input::DiskDone { req });
+                    self.run_staged(site, more);
+                }
+                Output::ArmTimer { .. } => {}
+                other => self.run_outputs(site, vec![other]),
+            }
+        }
     }
 
     /// Takes all application replies collected so far.

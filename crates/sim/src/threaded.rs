@@ -1,6 +1,7 @@
 //! A real multithreaded harness: one OS thread per peer server,
-//! communicating over [`pscc_net::InProcNetwork`] with the production
-//! path discipline, real-time timers, and immediate disks. This is the
+//! communicating over [`pscc_net::InProcNetwork`] with the paths and
+//! lanes of the routing table [`Message::route`], real-time timers, and
+//! immediate disks. This is the
 //! deployment shape of paper Fig. 2 — preemptive sites with genuinely
 //! concurrent message handling — and the strongest validation that the
 //! engine's state machine is driven correctly from outside.
@@ -10,13 +11,13 @@
 //! to the operating system's scheduler, so runs are *not* deterministic —
 //! exactly the point.
 
-use crate::testkit::{path_for, CONTROLLER};
+use crate::testkit::CONTROLLER;
 use crossbeam::channel as mpsc;
 use pscc_common::{AppId, PsccError, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_core::{
     AppOp, AppReply, AppRequest, DrainPhase, Input, Message, Output, OwnerMap, PeerServer, ReqId,
 };
-use pscc_net::{InProcNetwork, Transport};
+use pscc_net::{InProcNetwork, PathId, Transport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,8 +69,7 @@ fn drive<T: Transport<Message>>(
                 if to == CONTROLLER {
                     continue;
                 }
-                let path = path_for(&msg);
-                Transport::send(endpoint, to, path, msg);
+                Transport::send(endpoint, to, PathId(msg.path() as u8), msg);
             }
             Output::Disk { req, .. } => {
                 // Immediate disks: storage is in memory.

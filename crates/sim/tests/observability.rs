@@ -248,3 +248,21 @@ fn trace_dump_names_protocol_milestones() {
         }
     }
 }
+
+/// Tracing must not move virtual time: the traced run of a point is the
+/// same simulation as the plain one, so every report field matches.
+#[test]
+fn tracing_leaves_the_simulation_unchanged() {
+    use pscc_sim::experiment::{quick_spec, run_point, run_point_observed, Figure};
+    let mut spec = quick_spec(Figure::Fig7, 0.30);
+    spec.protocol = Protocol::PsOa;
+    spec.cfg.protocol = Protocol::PsOa;
+    let plain = run_point(&spec).report;
+    let traced = run_point_observed(&spec, 1 << 16).point.report;
+    assert!(plain.commits > 0);
+    assert_eq!(
+        (plain.commits, plain.aborts, plain.throughput.to_bits()),
+        (traced.commits, traced.aborts, traced.throughput.to_bits())
+    );
+    assert_eq!(plain.counters, traced.counters);
+}
