@@ -103,7 +103,7 @@ impl fmt::Display for ConsistencyTier {
 /// volume).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EdgeTierSpec {
-    /// File number the tier applies to. Must be `< edge_files`.
+    /// File number the tier applies to. Must be `< EDGE_TIER_FILES`.
     pub file: u32,
     /// The consistency dial for that file.
     pub tier: ConsistencyTier,
@@ -172,17 +172,6 @@ pub struct SystemConfig {
     /// enabled; complements the lease timer for clients that heartbeat
     /// but wedge mid-callback).
     pub callback_response_timeout: Duration,
-    /// First retry delay for a failed TCP connect/write; doubles each
-    /// attempt up to `net_backoff_max`.
-    pub net_backoff_base: Duration,
-    /// Ceiling on the exponential reconnect backoff.
-    pub net_backoff_max: Duration,
-    /// Connect/write attempts before the transport gives up on a send.
-    pub net_max_retries: u32,
-    /// Capacity of each bounded transport mailbox (per lane). Sized so
-    /// failure-free workloads never block on it; overload tests shrink
-    /// it to exercise backpressure.
-    pub mailbox_capacity: u32,
     /// Per-owner request credits a client starts with. A credit is
     /// consumed by each data/lock request on the wire and returned by
     /// its reply; at zero the client queues locally instead of sending.
@@ -199,10 +188,6 @@ pub struct SystemConfig {
     /// else (the slow-peer bypass). Off by default: failure-free runs
     /// stay byte-for-byte unchanged.
     pub slow_peer_bypass: bool,
-    /// Number of files the edge tier map may address (file numbers
-    /// `0..edge_files`). The seed workloads use a single file per
-    /// volume, so the default is 1.
-    pub edge_files: u32,
     /// Per-file consistency tiers for edge sites. Files not listed are
     /// `Strict`. Empty by default: no edge machinery arms and every
     /// read takes the serializable path, byte-for-byte unchanged.
@@ -220,10 +205,6 @@ pub enum ConfigError {
     /// `fetch_credits == 0`: clients could never put a data request on the
     /// wire — all work queues locally and the cluster is silently idle.
     ZeroFetchCredits,
-    /// `mailbox_capacity` below the consistency-lane minimum. The lossless
-    /// lane must absorb at least a small burst of callbacks/commit/2PC
-    /// traffic per peer or the transport blocks senders into a cycle.
-    MailboxBelowConsistencyMinimum { capacity: u32, minimum: u32 },
     /// `lock_timeout_floor > lock_timeout_ceiling`: the adaptive clamp is
     /// empty and the timeout oscillates between contradictory bounds.
     TimeoutFloorAboveCeiling { floor: Duration, ceiling: Duration },
@@ -234,9 +215,6 @@ pub enum ConfigError {
         lease: Duration,
         heartbeat: Duration,
     },
-    /// `net_backoff_base > net_backoff_max`: the exponential reconnect
-    /// schedule is inverted and the clamp produces a zero-width range.
-    BackoffBaseAboveMax { base: Duration, max: Duration },
     /// `busy_retry_hint == 0`: shed requests would retry immediately,
     /// turning admission control into a hot spin loop instead of backoff.
     ZeroBusyRetryHint,
@@ -261,9 +239,10 @@ pub enum ConfigError {
     /// partition or owner crash severs the watch, the edge would have no
     /// bound to degrade to and could never answer another read.
     WatchWithoutFallback { file: u32 },
-    /// A tier names a file number outside `0..edge_files` — it would
-    /// silently never match any page and the operator's intent is lost.
-    TierOnUnknownFile { file: u32, edge_files: u32 },
+    /// A tier names a file number outside `0..EDGE_TIER_FILES` — it
+    /// would silently never match any page and the operator's intent is
+    /// lost.
+    TierOnUnknownFile { file: u32 },
     /// Two tier entries name the same file; which one wins would depend
     /// on map-insertion order.
     DuplicateTierFile { file: u32 },
@@ -278,10 +257,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFetchCredits => {
                 write!(f, "fetch_credits must be > 0 (0 queues every request locally forever)")
             }
-            ConfigError::MailboxBelowConsistencyMinimum { capacity, minimum } => write!(
-                f,
-                "mailbox_capacity {capacity} is below the consistency-lane minimum {minimum}"
-            ),
             ConfigError::TimeoutFloorAboveCeiling { floor, ceiling } => write!(
                 f,
                 "lock_timeout_floor ({floor:?}) exceeds lock_timeout_ceiling ({ceiling:?})"
@@ -289,10 +264,6 @@ impl fmt::Display for ConfigError {
             ConfigError::LeaseWithinHeartbeat { lease, heartbeat } => write!(
                 f,
                 "lease_duration ({lease:?}) must exceed heartbeat_interval ({heartbeat:?}) when leases are enabled"
-            ),
-            ConfigError::BackoffBaseAboveMax { base, max } => write!(
-                f,
-                "net_backoff_base ({base:?}) exceeds net_backoff_max ({max:?})"
             ),
             ConfigError::ZeroBusyRetryHint => {
                 write!(f, "busy_retry_hint must be > 0 (0 spins on Busy instead of backing off)")
@@ -317,9 +288,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "watch-based tier for file {file} needs a nonzero fallback_ttl to degrade to when the watch is severed"
             ),
-            ConfigError::TierOnUnknownFile { file, edge_files } => write!(
+            ConfigError::TierOnUnknownFile { file } => write!(
                 f,
-                "edge tier names unknown file {file} (edge_files = {edge_files})"
+                "edge tier names unknown file {file} (files are 0..{EDGE_TIER_FILES})"
             ),
             ConfigError::DuplicateTierFile { file } => {
                 write!(f, "file {file} appears in more than one edge tier entry")
@@ -330,10 +301,9 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Smallest mailbox the consistency lane tolerates: room for a burst of
-/// callback + commit + liveness control frames from one peer without
-/// blocking the sender (see `ConfigError::MailboxBelowConsistencyMinimum`).
-pub const MIN_MAILBOX_CAPACITY: u32 = 4;
+/// Number of files the edge tier map may address (file numbers
+/// `0..EDGE_TIER_FILES`): the workloads use a single file per volume.
+pub const EDGE_TIER_FILES: u32 = 1;
 
 /// Largest staleness bound an edge tier may declare (one hour of
 /// virtual time). Bounds past this are treated as configuration
@@ -360,15 +330,10 @@ impl SystemConfig {
             heartbeat_interval: Duration::from_millis(500),
             lease_duration: Duration::from_millis(2_000),
             callback_response_timeout: Duration::from_secs(10),
-            net_backoff_base: Duration::from_millis(10),
-            net_backoff_max: Duration::from_millis(1_000),
-            net_max_retries: 5,
-            mailbox_capacity: 4_096,
             fetch_credits: 64,
             admission_cap: 256,
             busy_retry_hint: Duration::from_millis(10),
             slow_peer_bypass: false,
-            edge_files: 1,
             edge_tiers: Vec::new(),
         }
     }
@@ -430,12 +395,6 @@ impl SystemConfig {
         if self.fetch_credits == 0 {
             return Err(ConfigError::ZeroFetchCredits);
         }
-        if self.mailbox_capacity < MIN_MAILBOX_CAPACITY {
-            return Err(ConfigError::MailboxBelowConsistencyMinimum {
-                capacity: self.mailbox_capacity,
-                minimum: MIN_MAILBOX_CAPACITY,
-            });
-        }
         if self.lock_timeout_floor > self.lock_timeout_ceiling {
             return Err(ConfigError::TimeoutFloorAboveCeiling {
                 floor: self.lock_timeout_floor,
@@ -446,12 +405,6 @@ impl SystemConfig {
             return Err(ConfigError::LeaseWithinHeartbeat {
                 lease: self.lease_duration,
                 heartbeat: self.heartbeat_interval,
-            });
-        }
-        if self.net_backoff_base > self.net_backoff_max {
-            return Err(ConfigError::BackoffBaseAboveMax {
-                base: self.net_backoff_base,
-                max: self.net_backoff_max,
             });
         }
         if self.busy_retry_hint == Duration::ZERO {
@@ -492,11 +445,8 @@ impl SystemConfig {
         }
         let mut tiered_files = std::collections::HashSet::new();
         for spec in &self.edge_tiers {
-            if spec.file >= self.edge_files {
-                return Err(ConfigError::TierOnUnknownFile {
-                    file: spec.file,
-                    edge_files: self.edge_files,
-                });
+            if spec.file >= EDGE_TIER_FILES {
+                return Err(ConfigError::TierOnUnknownFile { file: spec.file });
             }
             if !tiered_files.insert(spec.file) {
                 return Err(ConfigError::DuplicateTierFile { file: spec.file });
@@ -616,7 +566,6 @@ mod tests {
         assert_eq!(c.lock_timeout_floor, Duration::from_millis(50));
         assert_eq!(c.lock_timeout_ceiling, Duration::from_secs(30));
         assert!(c.lease_duration > c.heartbeat_interval);
-        assert!(c.net_backoff_base <= c.net_backoff_max);
         // small() inherits the failure knobs from paper().
         assert_eq!(SystemConfig::small().lease_duration, c.lease_duration);
     }
@@ -629,7 +578,6 @@ mod tests {
         // experiments never stall, shed, or block on a mailbox.
         assert!(c.fetch_credits > c.num_applications);
         assert!(c.admission_cap > c.num_applications);
-        assert!(c.mailbox_capacity >= c.admission_cap);
         assert!(!c.slow_peer_bypass);
         assert!(c.busy_retry_hint < c.initial_lock_timeout);
         // small() inherits the overload knobs from paper().
@@ -660,13 +608,6 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::ZeroFetchCredits));
 
         let mut c = base();
-        c.mailbox_capacity = MIN_MAILBOX_CAPACITY - 1;
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::MailboxBelowConsistencyMinimum { .. })
-        ));
-
-        let mut c = base();
         c.lock_timeout_floor = Duration::from_secs(60);
         assert!(matches!(
             c.validate(),
@@ -683,13 +624,6 @@ mod tests {
         // Leases off: the same pair is fine because no lease timer arms.
         c.leases_enabled = false;
         assert_eq!(c.validate(), Ok(()));
-
-        let mut c = base();
-        c.net_backoff_base = Duration::from_secs(10);
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::BackoffBaseAboveMax { .. })
-        ));
 
         let mut c = base();
         c.busy_retry_hint = Duration::ZERO;
@@ -765,16 +699,12 @@ mod tests {
         }];
         assert_eq!(
             c.validate(),
-            Err(ConfigError::TierOnUnknownFile {
-                file: 7,
-                edge_files: 1
-            })
+            Err(ConfigError::TierOnUnknownFile { file: 7 })
         );
 
         let mut c = base();
-        c.edge_files = 2;
         let spec = EdgeTierSpec {
-            file: 1,
+            file: 0,
             tier: ConsistencyTier::WatchBased {
                 fallback_ttl: Duration::from_millis(250),
             },
@@ -782,7 +712,7 @@ mod tests {
         c.edge_tiers = vec![spec, spec];
         assert_eq!(
             c.validate(),
-            Err(ConfigError::DuplicateTierFile { file: 1 })
+            Err(ConfigError::DuplicateTierFile { file: 0 })
         );
 
         // A well-formed tier map passes, and tier_of falls back to Strict.

@@ -35,7 +35,7 @@ pub mod trace;
 
 pub use config::{
     tiers_fingerprint, ConfigError, ConsistencyTier, EdgeTierSpec, Protocol, SystemConfig,
-    MAX_TIER_TTL, MIN_MAILBOX_CAPACITY,
+    EDGE_TIER_FILES, MAX_TIER_TTL,
 };
 pub use error::{AbortReason, PsccError};
 pub use ids::{AppId, FileId, LockLevel, LockableId, Oid, PageId, SiteId, TxnId, VolId};

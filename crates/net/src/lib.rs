@@ -8,9 +8,10 @@
 //! deescalation races) stem from exactly this looseness, so the transport
 //! reproduces it faithfully:
 //!
-//! * [`InProcNetwork`] — a crossbeam-channel network for the real
-//!   multithreaded harness: one FIFO channel per `(src, dst, path)`
-//!   triple; receivers merge across paths in arrival order.
+//! * [`InProcNetwork`] — an in-process network for the real
+//!   multithreaded harness: every source enqueues into the
+//!   destination's mailbox in program order, so each path stays FIFO;
+//!   receivers merge across paths in arrival order.
 //! * [`SeededNet`] — a single-threaded, deterministic message pool for
 //!   simulation and race-exploration tests: per-path FIFO is enforced,
 //!   and the *choice of which path delivers next* is driven by a seeded
@@ -18,69 +19,62 @@
 //!
 //! ## Overload protection
 //!
-//! Every mailbox is **bounded** (`SystemConfig::mailbox_capacity` in the
-//! harnesses; [`DEFAULT_MAILBOX_CAPACITY`] otherwise) and split into two
-//! lanes. An optional [`LaneClassifier`] marks *consistency* traffic
+//! Both real transports deliver into one mailbox type per site, bounded
+//! ([`DEFAULT_MAILBOX_CAPACITY`] in the harnesses) and split into two
+//! lanes. The transport's [`LaneClassifier`] marks *consistency* traffic
 //! (callbacks, commit decisions, rejoin handshakes, flow-control
 //! verdicts); that lane is never shed and receivers drain it ahead of
 //! the bulk lane, so a fetch flood cannot wedge the messages callback
-//! locking depends on. Bulk-lane sends on a full mailbox wait briefly
-//! and then drop — counted, never silent — which the engine's
-//! timeout-and-retry machinery already tolerates. Without a classifier
-//! all traffic uses the priority lane (bounded, blocking, lossless),
-//! which preserves the historical unbounded-channel semantics for
-//! message types the classifier has never seen.
+//! locking depends on. A full bulk lane is where the transports differ:
+//! an in-proc send waits briefly and then drops — counted, never silent
+//! — which the engine's timeout-and-retry machinery already tolerates;
+//! a TCP reader stops reading, and the kernel window pushes back on the
+//! sender.
 //!
 //! # Examples
 //!
 //! ```
-//! use pscc_net::{InProcNetwork, PathId};
+//! use pscc_net::{InProcNetwork, PathId, Transport, DEFAULT_MAILBOX_CAPACITY};
 //! use pscc_common::SiteId;
+//! use std::time::Duration;
 //!
-//! let net = InProcNetwork::<String>::new(&[SiteId(0), SiteId(1)], 2);
+//! let sites = [SiteId(0), SiteId(1)];
+//! let net = InProcNetwork::<String>::with_overload(&sites, 2, DEFAULT_MAILBOX_CAPACITY, |_| true);
 //! let a = net.endpoint(SiteId(0));
 //! let b = net.endpoint(SiteId(1));
 //! a.send(SiteId(1), PathId(0), "hello".to_string());
-//! let env = b.recv().unwrap();
+//! let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
 //! assert_eq!(env.msg, "hello");
 //! assert_eq!(env.from, SiteId(0));
+//! assert_eq!(env.to, SiteId(1));
 //! ```
 
 pub mod codec;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
+mod mailbox;
 pub mod tcp;
 
-use crossbeam::channel::{
-    bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
-};
+use mailbox::Mailbox;
 use pscc_common::SiteId;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Default per-lane mailbox capacity when a harness does not size it
-/// from `SystemConfig::mailbox_capacity`.
+/// Per-lane mailbox capacity of every site in the harnesses.
 pub const DEFAULT_MAILBOX_CAPACITY: usize = 4_096;
 
-/// How long a bulk-lane send waits on a full mailbox before dropping the
-/// message (counted via [`Endpoint::dropped`]). Short: the sender is an
-/// engine thread whose time is better spent draining its own mailbox.
+/// How long an in-proc bulk-lane send waits on a full mailbox before
+/// dropping the message (counted via [`InProcNetwork::dropped`]). Short:
+/// the sender is an engine thread whose time is better spent draining
+/// its own mailbox.
 const BULK_FULL_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// Poll slice of the two-lane receive loop: how long a blocked receiver
-/// parks on the priority lane before re-checking the bulk lane.
-const RECV_POLL_SLICE: Duration = Duration::from_micros(500);
-
-/// Decides the lane of an outbound message: `true` routes it onto the
-/// never-shed priority (consistency) lane, `false` onto the sheddable
-/// bulk lane. The engine's classifier is `Message::is_consistency`, the
-/// lane column of its single routing table `Message::route`; the
-/// transport stays generic over the payload type.
-pub type LaneClassifier<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
+/// Decides the lane of a message: `true` routes it onto the never-shed
+/// priority (consistency) lane, `false` onto the sheddable bulk lane.
+/// The engine's classifier is `Message::is_consistency`, the lane column
+/// of its single routing table `Message::route`; the transport stays
+/// generic over the payload type.
+pub type LaneClassifier<M> = fn(&M) -> bool;
 
 /// One of the parallel communication paths between a pair of peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -109,75 +103,30 @@ pub struct Envelope<M> {
 // Threaded network
 // ---------------------------------------------------------------------
 
-/// The two bounded mailbox lanes of one destination.
-struct Lanes<M> {
-    prio: Sender<Envelope<M>>,
-    bulk: Sender<Envelope<M>>,
-}
-
-impl<M> Clone for Lanes<M> {
-    fn clone(&self) -> Self {
-        Lanes {
-            prio: self.prio.clone(),
-            bulk: self.bulk.clone(),
-        }
-    }
-}
-
-impl<M> fmt::Debug for Lanes<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Lanes(prio={}, bulk={})",
-            self.prio.len(),
-            self.bulk.len()
-        )
-    }
-}
-
-/// Paired (priority, bulk) receive ends of a site's mailbox.
-type LaneReceivers<M> = (Receiver<Envelope<M>>, Receiver<Envelope<M>>);
-
-/// A crossbeam-channel network between a fixed set of sites with
-/// `n_paths` independent FIFO paths per ordered pair and bounded,
-/// two-lane mailboxes (see the module docs on overload protection).
+/// An in-process network between a fixed set of sites with `n_paths`
+/// independent FIFO paths per ordered pair and one bounded, two-lane
+/// mailbox per site (see the module docs on overload protection).
 pub struct InProcNetwork<M> {
     n_paths: u8,
-    // dst -> its mailbox lanes (every source shares them; per-path FIFO
-    // holds because a sending thread enqueues in program order).
-    senders: HashMap<SiteId, Lanes<M>>,
-    receivers: HashMap<SiteId, LaneReceivers<M>>,
-    classify: Option<LaneClassifier<M>>,
-    /// Bulk-lane messages dropped on overflow, network-wide.
-    dropped: Arc<AtomicU64>,
+    // Every source shares a destination's mailbox; per-path FIFO holds
+    // because a sending thread enqueues in program order.
+    mailboxes: HashMap<SiteId, Mailbox<M>>,
 }
 
 impl<M> fmt::Debug for InProcNetwork<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InProcNetwork")
             .field("n_paths", &self.n_paths)
-            .field("sites", &self.receivers.len())
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
+            .field("sites", &self.mailboxes.len())
+            .field("dropped", &self.dropped())
             .finish()
     }
 }
 
-impl<M: Send + 'static> InProcNetwork<M> {
+impl<M> InProcNetwork<M> {
     /// Builds a network among `sites` with `n_paths` paths per pair,
-    /// [`DEFAULT_MAILBOX_CAPACITY`] mailboxes, and no lane classifier
-    /// (all traffic on the lossless priority lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_paths == 0`.
-    pub fn new(sites: &[SiteId], n_paths: u8) -> Self {
-        Self::with_overload(sites, n_paths, DEFAULT_MAILBOX_CAPACITY, None)
-    }
-
-    /// Builds a network with explicit overload knobs: per-lane mailbox
-    /// `capacity` (from `SystemConfig::mailbox_capacity`) and an
-    /// optional lane classifier routing consistency traffic onto the
-    /// never-shed priority lane.
+    /// per-lane mailbox `capacity`, and `classify` choosing each
+    /// message's lane.
     ///
     /// # Panics
     ///
@@ -186,242 +135,112 @@ impl<M: Send + 'static> InProcNetwork<M> {
         sites: &[SiteId],
         n_paths: u8,
         capacity: usize,
-        classify: Option<LaneClassifier<M>>,
+        classify: LaneClassifier<M>,
     ) -> Self {
         assert!(n_paths > 0, "need at least one path");
-        assert!(capacity > 0, "need a non-zero mailbox capacity");
-        let mut senders = HashMap::new();
-        let mut receivers = HashMap::new();
-        for &s in sites {
-            let (ptx, prx) = bounded(capacity);
-            let (btx, brx) = bounded(capacity);
-            senders.insert(
-                s,
-                Lanes {
-                    prio: ptx,
-                    bulk: btx,
-                },
-            );
-            receivers.insert(s, (prx, brx));
-        }
         InProcNetwork {
             n_paths,
-            senders,
-            receivers,
-            classify,
-            dropped: Arc::new(AtomicU64::new(0)),
+            mailboxes: sites
+                .iter()
+                .map(|&s| (s, Mailbox::new(s, capacity, classify)))
+                .collect(),
         }
     }
 
-    /// An endpoint handle for `site`.
+    /// The endpoint of `site`. Dropping it closes the site's mailbox:
+    /// later sends to the site are discarded.
     ///
     /// # Panics
     ///
     /// Panics if `site` was not in the construction list.
     pub fn endpoint(&self, site: SiteId) -> Endpoint<M> {
-        assert!(self.receivers.contains_key(&site), "unknown site {site}");
+        let inbox = self
+            .mailboxes
+            .get(&site)
+            .unwrap_or_else(|| panic!("unknown site {site}"))
+            .clone();
         let out = self
-            .senders
+            .mailboxes
             .iter()
             .filter(|(dst, _)| **dst != site)
-            .map(|(dst, lanes)| (*dst, lanes.clone()))
+            .map(|(dst, mb)| (*dst, mb.clone()))
             .collect();
-        let (prio_rx, bulk_rx) = self.receivers[&site].clone();
         Endpoint {
-            site,
             n_paths: self.n_paths,
+            inbox,
             out,
-            prio_rx,
-            bulk_rx,
-            classify: self.classify.clone(),
-            dropped: Arc::clone(&self.dropped),
         }
-    }
-
-    /// Number of paths per pair.
-    pub fn n_paths(&self) -> u8 {
-        self.n_paths
     }
 
     /// Current mailbox depth (both lanes) of `site` — the per-peer queue
     /// gauge harnesses export.
     pub fn queue_depth(&self, site: SiteId) -> usize {
-        self.receivers
-            .get(&site)
-            .map_or(0, |(p, b)| p.len() + b.len())
+        self.mailboxes.get(&site).map_or(0, Mailbox::depth)
     }
 
     /// Bulk-lane messages dropped on overflow so far, network-wide.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.mailboxes.values().map(Mailbox::dropped).sum()
     }
 }
 
 /// A message transport as seen by one site: the engine harnesses are
 /// generic over this, so the same driver loop runs over in-process
-/// channels ([`Endpoint`]) and real sockets ([`tcp::TcpNode`]).
+/// mailboxes ([`Endpoint`]) and real sockets ([`tcp::TcpNode`]).
 pub trait Transport<M> {
     /// Sends `msg` to `to` along `path` (best effort; a vanished peer
     /// behaves like a closed socket).
     fn send(&self, to: SiteId, path: PathId, msg: M);
 
-    /// Waits up to `timeout` for the next inbound message.
+    /// Waits up to `timeout` for the next inbound message, consistency
+    /// traffic first.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>>;
 }
 
 /// One site's handle onto an [`InProcNetwork`].
 pub struct Endpoint<M> {
-    site: SiteId,
     n_paths: u8,
-    out: HashMap<SiteId, Lanes<M>>,
-    prio_rx: Receiver<Envelope<M>>,
-    bulk_rx: Receiver<Envelope<M>>,
-    classify: Option<LaneClassifier<M>>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl<M> Clone for Endpoint<M> {
-    fn clone(&self) -> Self {
-        Endpoint {
-            site: self.site,
-            n_paths: self.n_paths,
-            out: self.out.clone(),
-            prio_rx: self.prio_rx.clone(),
-            bulk_rx: self.bulk_rx.clone(),
-            classify: self.classify.clone(),
-            dropped: Arc::clone(&self.dropped),
-        }
-    }
+    inbox: Mailbox<M>,
+    out: HashMap<SiteId, Mailbox<M>>,
 }
 
 impl<M> fmt::Debug for Endpoint<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Endpoint")
-            .field("site", &self.site)
             .field("n_paths", &self.n_paths)
-            .field("depth", &(self.prio_rx.len() + self.bulk_rx.len()))
+            .field("depth", &self.inbox.depth())
             .finish()
     }
 }
 
-impl<M: Send + 'static> Endpoint<M> {
-    /// This endpoint's site.
-    pub fn site(&self) -> SiteId {
-        self.site
+impl<M> Drop for Endpoint<M> {
+    fn drop(&mut self) {
+        self.inbox.close();
     }
+}
 
-    /// Sends `msg` to `to` along `path`.
-    ///
-    /// Consistency traffic (and all traffic when no classifier is
-    /// installed) goes to the priority lane: bounded and blocking, never
-    /// dropped. Bulk traffic on a full mailbox waits [`BULK_FULL_TIMEOUT`]
-    /// and is then dropped and counted — the engine's lock timeouts and
-    /// `Busy` retries re-drive the work.
+impl<M> Transport<M> for Endpoint<M> {
+    /// Sends `msg` to `to` along `path`. Consistency traffic blocks on a
+    /// full mailbox and is never dropped. Bulk traffic on a full mailbox
+    /// waits [`BULK_FULL_TIMEOUT`] and is then dropped and counted — the
+    /// engine's lock timeouts and `Busy` retries re-drive the work.
     ///
     /// # Panics
     ///
     /// Panics on an unknown destination or path (protocol error).
-    pub fn send(&self, to: SiteId, path: PathId, msg: M) {
-        let lanes = self
+    fn send(&self, to: SiteId, path: PathId, msg: M) {
+        let dst = self
             .out
             .get(&to)
             .unwrap_or_else(|| panic!("unknown destination {to}"));
         assert!(path.0 < self.n_paths, "unknown {path}");
-        let prio = self.classify.as_ref().is_none_or(|c| c(&msg));
-        let env = Envelope {
-            from: self.site,
-            to,
-            path,
-            msg,
-        };
-        if prio {
-            // Receivers may have shut down during teardown; losing the
-            // message then is fine.
-            let _ = lanes.prio.send(env);
-        } else {
-            match lanes.bulk.try_send(env) {
-                Ok(()) => {}
-                Err(TrySendError::Full(env)) => {
-                    if let Err(SendTimeoutError::Timeout(_)) =
-                        lanes.bulk.send_timeout(env, BULK_FULL_TIMEOUT)
-                    {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {} // teardown
-            }
-        }
-    }
-
-    /// Blocks until a message arrives; `None` when all senders are gone.
-    pub fn recv(&self) -> Option<Envelope<M>> {
-        loop {
-            match self.recv_timeout(Duration::from_secs(3600)) {
-                Ok(e) => return Some(e),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
-    }
-
-    /// Waits up to `timeout` for a message, draining the priority lane
-    /// ahead of the bulk lane.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Ok(e) = self.prio_rx.try_recv() {
-                return Ok(e);
-            }
-            if let Ok(e) = self.bulk_rx.try_recv() {
-                return Ok(e);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            // Park on the priority lane in short slices so bulk arrivals
-            // are still noticed promptly.
-            let slice = RECV_POLL_SLICE.min(deadline - now);
-            match self.prio_rx.recv_timeout(slice) {
-                Ok(e) => return Ok(e),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Lanes close together (they live in one struct):
-                    // drain what the bulk lane still buffers, then report
-                    // the disconnect.
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    return self.bulk_rx.recv_timeout(left);
-                }
-            }
-        }
-    }
-
-    /// Non-blocking receive (priority lane first).
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.prio_rx
-            .try_recv()
-            .ok()
-            .or_else(|| self.bulk_rx.try_recv().ok())
-    }
-
-    /// Current depth of this endpoint's own mailbox (both lanes).
-    pub fn queue_depth(&self) -> usize {
-        self.prio_rx.len() + self.bulk_rx.len()
-    }
-
-    /// Bulk-lane messages dropped on overflow, network-wide.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl<M: Send + 'static> Transport<M> for Endpoint<M> {
-    fn send(&self, to: SiteId, path: PathId, msg: M) {
-        Endpoint::send(self, to, path, msg);
+        // A closed destination has shut down; losing the message then is
+        // fine.
+        dst.push(self.inbox.site(), path, msg, Some(BULK_FULL_TIMEOUT));
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        Endpoint::recv_timeout(self, timeout).ok()
+        self.inbox.recv_timeout(timeout)
     }
 }
 
@@ -523,28 +342,50 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn inproc_roundtrip_and_fifo_per_path() {
-        let net = InProcNetwork::<u32>::new(&[SiteId(0), SiteId(1)], 3);
-        let a = net.endpoint(SiteId(0));
-        let b = net.endpoint(SiteId(1));
-        for i in 0..10 {
-            a.send(SiteId(1), PathId(1), i);
-        }
-        let got: Vec<u32> = (0..10).map(|_| b.recv().unwrap().msg).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
+    /// Odd payloads are "consistency" traffic.
+    fn odd_is_consistency(m: &u32) -> bool {
+        m % 2 == 1
+    }
+
+    fn two_sites(n_paths: u8, capacity: usize) -> InProcNetwork<u32> {
+        InProcNetwork::with_overload(
+            &[SiteId(0), SiteId(1)],
+            n_paths,
+            capacity,
+            odd_is_consistency,
+        )
+    }
+
+    fn recv(e: &Endpoint<u32>) -> Envelope<u32> {
+        e.recv_timeout(Duration::from_secs(5)).expect("delivery")
     }
 
     #[test]
-    fn inproc_try_recv_empty() {
-        let net = InProcNetwork::<u32>::new(&[SiteId(0), SiteId(1)], 1);
+    fn inproc_roundtrip_and_fifo_per_path() {
+        let net = two_sites(3, DEFAULT_MAILBOX_CAPACITY);
+        let a = net.endpoint(SiteId(0));
         let b = net.endpoint(SiteId(1));
-        assert!(b.try_recv().is_none());
+        for i in 0..10 {
+            a.send(SiteId(1), PathId(1), i * 2);
+        }
+        let got: Vec<Envelope<u32>> = (0..10).map(|_| recv(&b)).collect();
+        assert!(got
+            .iter()
+            .all(|e| e.from == SiteId(0) && e.to == SiteId(1) && e.path == PathId(1)));
+        let msgs: Vec<u32> = got.into_iter().map(|e| e.msg).collect();
+        assert_eq!(msgs, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn inproc_recv_on_empty_mailbox_returns_none() {
+        let net = two_sites(1, DEFAULT_MAILBOX_CAPACITY);
+        let b = net.endpoint(SiteId(1));
+        assert!(b.recv_timeout(Duration::ZERO).is_none());
     }
 
     #[test]
     fn inproc_cross_thread() {
-        let net = InProcNetwork::<u32>::new(&[SiteId(0), SiteId(1)], 2);
+        let net = two_sites(2, DEFAULT_MAILBOX_CAPACITY);
         let a = net.endpoint(SiteId(0));
         let b = net.endpoint(SiteId(1));
         let h = std::thread::spawn(move || {
@@ -552,10 +393,7 @@ mod tests {
                 a.send(SiteId(1), PathId((i % 2) as u8), i);
             }
         });
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            got.push(b.recv().unwrap().msg);
-        }
+        let mut got: Vec<u32> = (0..100).map(|_| recv(&b).msg).collect();
         h.join().unwrap();
         got.sort();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
@@ -563,38 +401,53 @@ mod tests {
 
     #[test]
     fn priority_lane_drained_before_bulk() {
-        // Odd payloads are "consistency" traffic.
-        let classify: LaneClassifier<u32> = Arc::new(|m: &u32| m % 2 == 1);
-        let net =
-            InProcNetwork::<u32>::with_overload(&[SiteId(0), SiteId(1)], 1, 64, Some(classify));
+        let net = two_sites(1, 64);
         let a = net.endpoint(SiteId(0));
         let b = net.endpoint(SiteId(1));
         // Bulk first, then priority: the receiver must see priority first.
         a.send(SiteId(1), PathId(0), 2);
         a.send(SiteId(1), PathId(0), 4);
         a.send(SiteId(1), PathId(0), 1);
-        assert_eq!(b.queue_depth(), 3);
-        let got: Vec<u32> = (0..3).map(|_| b.recv().unwrap().msg).collect();
+        assert_eq!(net.queue_depth(SiteId(1)), 3);
+        let got: Vec<u32> = (0..3).map(|_| recv(&b).msg).collect();
         assert_eq!(got, vec![1, 2, 4]);
-        assert_eq!(b.queue_depth(), 0);
+        assert_eq!(net.queue_depth(SiteId(1)), 0);
     }
 
     #[test]
     fn bulk_overflow_drops_are_counted_and_priority_survives() {
-        let classify: LaneClassifier<u32> = Arc::new(|m: &u32| m % 2 == 1);
         // Capacity 1: the second undrained bulk send must overflow.
-        let net =
-            InProcNetwork::<u32>::with_overload(&[SiteId(0), SiteId(1)], 1, 1, Some(classify));
+        let net = two_sites(1, 1);
         let a = net.endpoint(SiteId(0));
         let b = net.endpoint(SiteId(1));
         a.send(SiteId(1), PathId(0), 2); // fills the bulk lane
         a.send(SiteId(1), PathId(0), 4); // overflows: dropped after the wait
         a.send(SiteId(1), PathId(0), 1); // priority: never dropped
-        assert_eq!(a.dropped(), 1);
         assert_eq!(net.dropped(), 1);
         assert_eq!(net.queue_depth(SiteId(1)), 2);
-        let got: Vec<u32> = (0..2).map(|_| b.recv().unwrap().msg).collect();
+        let got: Vec<u32> = (0..2).map(|_| recv(&b).msg).collect();
         assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn full_priority_lane_blocks_until_drained_and_closes_with_its_endpoint() {
+        let net = two_sites(1, 1);
+        let a = net.endpoint(SiteId(0));
+        let b = net.endpoint(SiteId(1));
+        a.send(SiteId(1), PathId(0), 1); // fills the priority lane
+        let sender = std::thread::spawn(move || {
+            a.send(SiteId(1), PathId(0), 3); // blocks: the lane is lossless
+            a
+        });
+        assert_eq!(recv(&b).msg, 1);
+        assert_eq!(recv(&b).msg, 3);
+        let a = sender.join().unwrap();
+        a.send(SiteId(1), PathId(0), 5); // fills the lane again
+        let blocked = std::thread::spawn(move || a.send(SiteId(1), PathId(0), 7));
+        // Dropping the receiving endpoint releases the blocked sender.
+        drop(b);
+        blocked.join().unwrap();
+        assert_eq!(net.dropped(), 0);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! Topology: every node listens on one address; outgoing connections are
 //! opened lazily per `(destination, path)` and announce `(site, path)`
 //! in a handshake frame. A reader thread per accepted connection decodes
-//! frames into the node's mailbox.
+//! frames into the node's two-lane mailbox. When a lane is full the
+//! reader blocks, stops reading its socket, and the kernel's TCP window
+//! pushes back on the sender: bounded memory with no message loss.
 
 use crate::codec::{decode_frame, encode_frame};
-use crate::{Envelope, LaneClassifier, PathId, Transport, DEFAULT_MAILBOX_CAPACITY};
+use crate::mailbox::Mailbox;
+use crate::{Envelope, LaneClassifier, PathId, Transport};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender};
 use pscc_common::SiteId;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -85,39 +87,12 @@ fn trace_record(trace: &SharedTrace, kind: pscc_obs::EventKind) {
 /// its handshake identified the sender.
 const UNKNOWN_PEER: SiteId = SiteId(u32::MAX);
 
-/// Poll slice of the two-lane receive loop (priority drained first).
-const RECV_POLL_SLICE: Duration = Duration::from_micros(500);
-
-/// The bounded, two-lane mailbox as seen by reader threads. Inserts
-/// block when a lane is full — the reader then stops reading its socket,
-/// the kernel's TCP window fills, and the *sender's* retry loop takes
-/// over: bounded memory with no message loss.
-struct MailboxTx<M> {
-    prio: Sender<Envelope<M>>,
-    bulk: Sender<Envelope<M>>,
-    classify: Option<LaneClassifier<M>>,
-}
-
-impl<M> Clone for MailboxTx<M> {
-    fn clone(&self) -> Self {
-        MailboxTx {
-            prio: self.prio.clone(),
-            bulk: self.bulk.clone(),
-            classify: self.classify.clone(),
-        }
-    }
-}
-
-impl<M> MailboxTx<M> {
-    fn send(&self, env: Envelope<M>) -> Result<(), SendError<Envelope<M>>> {
-        let prio = self.classify.as_ref().is_none_or(|c| c(&env.msg));
-        if prio {
-            self.prio.send(env)
-        } else {
-            self.bulk.send(env)
-        }
-    }
-}
+/// Reconnect policy of a send: the first retry waits `BACKOFF_BASE`,
+/// each later one twice as long up to `BACKOFF_MAX`, and the send gives
+/// up after `MAX_RETRIES` retries (10 + 20 + 40 + 80 + 160 ms of sleep).
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+const BACKOFF_MAX: Duration = Duration::from_millis(1_000);
+const MAX_RETRIES: u32 = 5;
 
 /// One site of a TCP-connected peer-servers deployment.
 pub struct TcpNode<M> {
@@ -125,41 +100,18 @@ pub struct TcpNode<M> {
     peers: HashMap<SiteId, SocketAddr>,
     // (dst, path) -> established outgoing connection.
     conns: Mutex<HashMap<(SiteId, PathId), TcpStream>>,
-    prio_rx: Receiver<Envelope<M>>,
-    bulk_rx: Receiver<Envelope<M>>,
-    mailbox_tx: MailboxTx<M>,
+    mailbox: Mailbox<M>,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     stats: Arc<NetStats>,
     trace: SharedTrace,
-    // Reconnect policy (see `configure_retry`).
-    backoff_base: Duration,
-    backoff_max: Duration,
-    max_retries: u32,
-    #[cfg(feature = "fault-inject")]
-    fault_hook: Mutex<Option<crate::fault::FaultHook>>,
 }
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// Binds `listen` and starts accepting; `peers` maps every other
-    /// site to its listen address.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding the listener.
-    pub fn start(
-        site: SiteId,
-        listen: SocketAddr,
-        peers: HashMap<SiteId, SocketAddr>,
-    ) -> std::io::Result<Self> {
-        Self::start_bounded(site, listen, peers, DEFAULT_MAILBOX_CAPACITY, None)
-    }
-
-    /// Like [`TcpNode::start`] with explicit overload knobs: per-lane
-    /// mailbox `capacity` (from `SystemConfig::mailbox_capacity`) and an
-    /// optional classifier routing consistency traffic onto a priority
-    /// lane that [`Transport::recv_timeout`] drains first. Without a
-    /// classifier all traffic uses the priority lane.
+    /// site to its listen address. Inbound messages land in a mailbox
+    /// of per-lane `capacity`, on the lane `classify` picks;
+    /// [`Transport::recv_timeout`] drains the priority lane first.
     ///
     /// # Errors
     ///
@@ -173,23 +125,16 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         listen: SocketAddr,
         peers: HashMap<SiteId, SocketAddr>,
         capacity: usize,
-        classify: Option<LaneClassifier<M>>,
+        classify: LaneClassifier<M>,
     ) -> std::io::Result<Self> {
-        assert!(capacity > 0, "need a non-zero mailbox capacity");
+        let mailbox = Mailbox::new(site, capacity, classify);
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
-        let (ptx, prx) = bounded(capacity);
-        let (btx, brx) = bounded(capacity);
-        let tx = MailboxTx {
-            prio: ptx,
-            bulk: btx,
-            classify,
-        };
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(NetStats::default());
         let trace: SharedTrace = Arc::new(Mutex::new(None));
         let acceptor = {
-            let tx = tx.clone();
+            let mailbox = mailbox.clone();
             let stop = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             let trace = Arc::clone(&trace);
@@ -199,11 +144,13 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
                         Ok((stream, _)) => {
                             stream.set_nodelay(true).ok();
                             stream.set_nonblocking(false).ok();
-                            let tx = tx.clone();
+                            let mailbox = mailbox.clone();
                             let stop = Arc::clone(&stop);
                             let stats = Arc::clone(&stats);
                             let trace = Arc::clone(&trace);
-                            std::thread::spawn(move || reader_loop(stream, tx, stop, stats, trace));
+                            std::thread::spawn(move || {
+                                reader_loop(stream, mailbox, stop, stats, trace)
+                            });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(1));
@@ -217,28 +164,12 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
             site,
             peers,
             conns: Mutex::new(HashMap::new()),
-            prio_rx: prx,
-            bulk_rx: brx,
-            mailbox_tx: tx,
+            mailbox,
             shutdown,
             acceptor: Some(acceptor),
             stats,
             trace,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(1_000),
-            max_retries: 5,
-            #[cfg(feature = "fault-inject")]
-            fault_hook: Mutex::new(None),
         })
-    }
-
-    /// Overrides the reconnect policy (defaults: 10 ms base doubling to
-    /// a 1 s cap, 5 retries). Mirrors the `net_backoff_*` knobs of
-    /// `SystemConfig`.
-    pub fn configure_retry(&mut self, base: Duration, max: Duration, retries: u32) {
-        self.backoff_base = base;
-        self.backoff_max = max;
-        self.max_retries = retries;
     }
 
     /// Installs a trace handle; disconnects and retries are recorded as
@@ -249,21 +180,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         }
     }
 
-    /// Installs a fault-injection hook consulted before every physical
-    /// write (chaos testing over real sockets).
-    #[cfg(feature = "fault-inject")]
-    pub fn set_fault_hook(&self, hook: crate::fault::FaultHook) {
-        if let Ok(mut guard) = self.fault_hook.lock() {
-            *guard = Some(hook);
-        }
-    }
-
-    /// The local mailbox sender (loopback injection in tests). Injected
-    /// messages travel the priority lane.
-    pub fn loopback(&self) -> Sender<Envelope<M>> {
-        self.mailbox_tx.prio.clone()
-    }
-
     /// This node's wire-level counters.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -272,7 +188,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// Current mailbox depth (both lanes) — the queue gauge harnesses
     /// export per node.
     pub fn queue_depth(&self) -> usize {
-        self.prio_rx.len() + self.bulk_rx.len()
+        self.mailbox.depth()
     }
 
     fn connection(&self, to: SiteId, path: PathId) -> std::io::Result<TcpStream> {
@@ -332,6 +248,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
 impl<M> Drop for TcpNode<M> {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        // Releases reader threads blocked on a full lane.
+        self.mailbox.close();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -340,7 +258,7 @@ impl<M> Drop for TcpNode<M> {
 
 fn reader_loop<M: DeserializeOwned + Send + 'static>(
     mut stream: TcpStream,
-    tx: MailboxTx<M>,
+    mailbox: Mailbox<M>,
     stop: Arc<AtomicBool>,
     stats: Arc<NetStats>,
     trace: SharedTrace,
@@ -385,16 +303,8 @@ fn reader_loop<M: DeserializeOwned + Send + 'static>(
                         disconnect(None, "frame before handshake");
                         return;
                     };
-                    if tx
-                        .send(Envelope {
-                            from: site,
-                            to: SiteId(u32::MAX), // filled by receiver identity
-                            path,
-                            msg,
-                        })
-                        .is_err()
-                    {
-                        return; // local node dropped its mailbox
+                    if !mailbox.push(site, path, msg, None) {
+                        return; // the local node shut down
                     }
                 }
                 Ok(None) => break,
@@ -429,40 +339,14 @@ fn reader_loop<M: DeserializeOwned + Send + 'static>(
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<M> {
     fn send(&self, to: SiteId, path: PathId, msg: M) {
-        #[cfg(feature = "fault-inject")]
-        let msg = {
-            let action = self
-                .fault_hook
-                .lock()
-                .ok()
-                .and_then(|g| g.as_ref().map(|h| h(to, path)))
-                .unwrap_or(crate::fault::FaultAction::Deliver);
-            match action {
-                crate::fault::FaultAction::Deliver => msg,
-                crate::fault::FaultAction::Drop => return,
-                crate::fault::FaultAction::Duplicate => {
-                    // Physical duplicate on the same ordered stream.
-                    let mut buf = BytesMut::new();
-                    if encode_frame(&msg, &mut buf).is_ok()
-                        && self.try_write(to, path, &buf).is_ok()
-                    {
-                        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .bytes_sent
-                            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                    }
-                    msg
-                }
-            }
-        };
         let mut buf = BytesMut::new();
         if encode_frame(&msg, &mut buf).is_err() {
             return; // local serialization bug; nothing to retry
         }
         // Retry with exponential backoff + reconnect instead of dying
         // silently on the first connect/write failure.
-        let mut delay = self.backoff_base;
-        for attempt in 0..=self.max_retries {
+        let mut delay = BACKOFF_BASE;
+        for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
                 trace_record(
@@ -470,7 +354,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
                     pscc_obs::EventKind::NetRetry { peer: to, attempt },
                 );
                 std::thread::sleep(delay);
-                delay = (delay * 2).min(self.backoff_max);
+                delay = (delay * 2).min(BACKOFF_MAX);
             }
             if self.try_write(to, path, &buf).is_ok() {
                 self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -486,34 +370,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpNode<
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let stamp = |mut e: Envelope<M>| {
-            e.to = self.site;
-            e
-        };
-        loop {
-            // Priority lane first, so consistency traffic is never stuck
-            // behind a backlog of bulk fetches.
-            if let Ok(e) = self.prio_rx.try_recv() {
-                return Some(stamp(e));
-            }
-            if let Ok(e) = self.bulk_rx.try_recv() {
-                return Some(stamp(e));
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let slice = RECV_POLL_SLICE.min(deadline - now);
-            match self.prio_rx.recv_timeout(slice) {
-                Ok(e) => return Some(stamp(e)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    let left = deadline.saturating_duration_since(std::time::Instant::now());
-                    return self.bulk_rx.recv_timeout(left).ok().map(stamp);
-                }
-            }
-        }
+        self.mailbox.recv_timeout(timeout)
     }
 }
 
@@ -525,6 +382,24 @@ mod tests {
         listener.local_addr().expect("bound")
     }
 
+    /// Messages starting with '!' are consistency traffic.
+    const BANG_IS_CONSISTENCY: LaneClassifier<String> = |m| m.starts_with('!');
+
+    fn start(
+        site: SiteId,
+        listen: SocketAddr,
+        peers: HashMap<SiteId, SocketAddr>,
+    ) -> TcpNode<String> {
+        TcpNode::start_bounded(
+            site,
+            listen,
+            peers,
+            crate::DEFAULT_MAILBOX_CAPACITY,
+            BANG_IS_CONSISTENCY,
+        )
+        .unwrap()
+    }
+
     fn two_nodes() -> (TcpNode<String>, TcpNode<String>) {
         // Bind ephemeral ports first to learn the addresses.
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -534,9 +409,7 @@ mod tests {
         drop((l0, l1));
         let peers0: HashMap<SiteId, SocketAddr> = [(SiteId(1), a1)].into();
         let peers1: HashMap<SiteId, SocketAddr> = [(SiteId(0), a0)].into();
-        let n0 = TcpNode::start(SiteId(0), a0, peers0).unwrap();
-        let n1 = TcpNode::start(SiteId(1), a1, peers1).unwrap();
-        (n0, n1)
+        (start(SiteId(0), a0, peers0), start(SiteId(1), a1, peers1))
     }
 
     #[test]
@@ -601,12 +474,14 @@ mod tests {
         let a_dead = addr_of(&l_dead);
         drop((l0, l_dead));
         let peers: HashMap<SiteId, SocketAddr> = [(SiteId(1), a_dead)].into();
-        let mut n0 = TcpNode::<String>::start(SiteId(0), a0, peers).unwrap();
-        n0.configure_retry(Duration::from_millis(1), Duration::from_millis(4), 3);
+        let n0 = start(SiteId(0), a0, peers);
         let trace = pscc_obs::event::TraceHandle::new(SiteId(0), 64);
         n0.set_trace(trace.clone());
         n0.send(SiteId(1), PathId(0), "lost".to_string());
-        assert_eq!(n0.stats().retries.load(Ordering::Relaxed), 3);
+        assert_eq!(
+            n0.stats().retries.load(Ordering::Relaxed),
+            u64::from(MAX_RETRIES)
+        );
         assert_eq!(n0.stats().disconnects.load(Ordering::Relaxed), 1);
         assert_eq!(n0.stats().frames_sent.load(Ordering::Relaxed), 0);
         let events = trace.snapshot();
@@ -618,7 +493,7 @@ mod tests {
             .any(|e| matches!(e.kind, pscc_obs::EventKind::NetDisconnect { .. })));
         let mut reg = pscc_obs::MetricsRegistry::new();
         n0.stats().export(&mut reg);
-        assert_eq!(reg.counter_value("net_retries"), Some(3));
+        assert_eq!(reg.counter_value("net_retries"), Some(5));
         assert_eq!(reg.counter_value("net_disconnects"), Some(1));
         n0.shutdown();
     }
@@ -642,32 +517,6 @@ mod tests {
         n1.shutdown();
     }
 
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn tcp_fault_hook_drops_and_duplicates() {
-        use std::sync::atomic::AtomicUsize;
-        let (n0, n1) = two_nodes();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&calls);
-        n0.set_fault_hook(Box::new(move |_, _| {
-            match c.fetch_add(1, Ordering::Relaxed) {
-                0 => crate::fault::FaultAction::Drop,
-                1 => crate::fault::FaultAction::Duplicate,
-                _ => crate::fault::FaultAction::Deliver,
-            }
-        }));
-        n0.send(SiteId(1), PathId(0), "dropped".to_string());
-        n0.send(SiteId(1), PathId(0), "duped".to_string());
-        n0.send(SiteId(1), PathId(0), "normal".to_string());
-        let mut got = Vec::new();
-        while let Some(env) = n1.recv_timeout(Duration::from_millis(500)) {
-            got.push(env.msg);
-        }
-        assert_eq!(got, vec!["duped", "duped", "normal"]);
-        n0.shutdown();
-        n1.shutdown();
-    }
-
     #[test]
     fn tcp_priority_lane_drained_first() {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -677,11 +526,8 @@ mod tests {
         drop((l0, l1));
         let peers0: HashMap<SiteId, SocketAddr> = [(SiteId(1), a1)].into();
         let peers1: HashMap<SiteId, SocketAddr> = [(SiteId(0), a0)].into();
-        // Messages starting with '!' are consistency traffic.
-        let classify: LaneClassifier<String> = Arc::new(|m: &String| m.starts_with('!'));
-        let n0 = TcpNode::<String>::start(SiteId(0), a0, peers0).unwrap();
-        let n1 =
-            TcpNode::<String>::start_bounded(SiteId(1), a1, peers1, 16, Some(classify)).unwrap();
+        let n0 = start(SiteId(0), a0, peers0);
+        let n1 = TcpNode::start_bounded(SiteId(1), a1, peers1, 16, BANG_IS_CONSISTENCY).unwrap();
         n0.send(SiteId(1), PathId(0), "bulk-a".to_string());
         n0.send(SiteId(1), PathId(0), "bulk-b".to_string());
         n0.send(SiteId(1), PathId(0), "!urgent".to_string());

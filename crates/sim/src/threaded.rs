@@ -17,7 +17,7 @@ use pscc_common::{AppId, PsccError, SimTime, SiteId, SystemConfig, TxnId};
 use pscc_core::{
     AppOp, AppReply, AppRequest, DrainPhase, Input, Message, Output, OwnerMap, PeerServer, ReqId,
 };
-use pscc_net::{InProcNetwork, PathId, Transport};
+use pscc_net::{InProcNetwork, PathId, Transport, DEFAULT_MAILBOX_CAPACITY};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,6 +35,10 @@ pub struct SiteProbe {
     /// Admitted remote data requests.
     pub queue_depth: usize,
 }
+
+/// Longest a site thread blocks on its transport before it looks at its
+/// command channel again.
+const RECV_SLICE: Duration = Duration::from_micros(200);
 
 /// Commands a driver can send to a site thread.
 enum Cmd {
@@ -101,14 +105,13 @@ impl ThreadedCluster {
     /// channels.
     pub fn new(n: u32, cfg: SystemConfig, owners: OwnerMap) -> Self {
         let sites: Vec<SiteId> = (0..n).map(SiteId).collect();
-        // Bounded mailboxes sized from the config, with consistency
-        // traffic (callbacks, commit decisions, rejoin) classified onto
-        // the lossless priority lane (DESIGN.md §6).
-        let net = InProcNetwork::<Message>::with_overload(
+        // Consistency traffic (callbacks, commit decisions, rejoin) rides
+        // the lossless priority lane (DESIGN.md §7).
+        let net = InProcNetwork::with_overload(
             &sites,
             3,
-            cfg.mailbox_capacity as usize,
-            Some(Arc::new(|m: &Message| m.is_consistency())),
+            DEFAULT_MAILBOX_CAPACITY,
+            Message::is_consistency,
         );
         Self::with_transports(
             cfg,
@@ -118,7 +121,8 @@ impl ThreadedCluster {
     }
 
     /// Spawns peer servers over real TCP sockets on localhost — the
-    /// full deployment stack: engine + codec frames + kernel TCP.
+    /// full deployment stack: engine + codec frames + kernel TCP, with
+    /// the same two-lane mailboxes as [`ThreadedCluster::new`].
     ///
     /// # Panics
     ///
@@ -144,8 +148,14 @@ impl ThreadedCluster {
                     .filter(|o| **o != s)
                     .map(|o| (*o, addrs[o.0 as usize]))
                     .collect();
-                let node = pscc_net::tcp::TcpNode::<Message>::start(s, addrs[s.0 as usize], peers)
-                    .expect("tcp node");
+                let node = pscc_net::tcp::TcpNode::start_bounded(
+                    s,
+                    addrs[s.0 as usize],
+                    peers,
+                    DEFAULT_MAILBOX_CAPACITY,
+                    Message::is_consistency,
+                )
+                .expect("tcp node");
                 (s, node)
             })
             .collect();
@@ -176,10 +186,9 @@ impl ThreadedCluster {
         // Drivers are trusted not to flood, but the channels are bounded
         // anyway so a runaway workload blocks at submission instead of
         // growing memory without limit.
-        let cmd_capacity = cfg.mailbox_capacity.max(1) as usize;
         for (site, endpoint) in transports {
-            let (ctx, crx) = mpsc::bounded::<Cmd>(cmd_capacity);
-            let (rtx, rrx) = mpsc::bounded::<AppReply>(cmd_capacity);
+            let (ctx, crx) = mpsc::bounded::<Cmd>(DEFAULT_MAILBOX_CAPACITY);
+            let (rtx, rrx) = mpsc::bounded::<AppReply>(DEFAULT_MAILBOX_CAPACITY);
             cmd_tx.push(ctx);
             reply_rx.push(rrx);
             let cfg = cfg.clone();
@@ -194,10 +203,18 @@ impl ThreadedCluster {
                     if stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    // Gather one input: pending first, then commands,
-                    // then network (with a short block), then due timers.
+                    // Gather one input: pending first, then due timers,
+                    // then commands, then the network. Timers go before
+                    // anything that can arrive without pause, so steady
+                    // traffic cannot starve lock-wait timeouts, lease
+                    // heartbeats or `Busy` retries.
+                    let now = Instant::now();
+                    let due = timers.iter().position(|(at, _)| *at <= now);
                     let input = if let Some(i) = pending.pop_front() {
                         Some(i)
+                    } else if let Some(i) = due {
+                        let (_, timer) = timers.swap_remove(i);
+                        Some(Input::TimerFired { timer })
                     } else if let Ok(cmd) = crx.try_recv() {
                         match cmd {
                             Cmd::App(req) => Some(Input::App(req)),
@@ -249,19 +266,15 @@ impl ThreadedCluster {
                                 continue;
                             }
                         }
-                    } else if let Some(env) =
-                        Transport::recv_timeout(&endpoint, Duration::from_micros(200))
-                    {
-                        Some(Input::Msg {
+                    } else {
+                        // Block no later than the earliest timer.
+                        let wait = timers
+                            .iter()
+                            .map(|(at, _)| at.saturating_duration_since(now))
+                            .fold(RECV_SLICE, Duration::min);
+                        Transport::recv_timeout(&endpoint, wait).map(|env| Input::Msg {
                             from: env.from,
                             msg: env.msg,
-                        })
-                    } else {
-                        let now = Instant::now();
-                        let due = timers.iter().position(|(at, _)| *at <= now);
-                        due.map(|i| {
-                            let (_, t) = timers.swap_remove(i);
-                            Input::TimerFired { timer: t }
                         })
                     };
                     let Some(input) = input else { continue };

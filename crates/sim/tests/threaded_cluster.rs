@@ -334,3 +334,69 @@ fn tcp_cluster_end_to_end() {
     let _ = cluster.run_op(site, app, txn, AppOp::Commit);
     cluster.shutdown();
 }
+
+/// A transport that never goes quiet: whenever the real endpoint has
+/// nothing, it hands the engine a `Heartbeat` (a no-op there).
+struct Flooded(pscc_net::Endpoint<pscc_core::Message>);
+
+impl pscc_net::Transport<pscc_core::Message> for Flooded {
+    fn send(&self, to: SiteId, path: pscc_net::PathId, msg: pscc_core::Message) {
+        self.0.send(to, path, msg);
+    }
+
+    fn recv_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> Option<pscc_net::Envelope<pscc_core::Message>> {
+        self.0.recv_timeout(timeout).or(Some(pscc_net::Envelope {
+            from: SiteId(1),
+            to: SiteId(0),
+            path: pscc_net::PathId(0),
+            msg: pscc_core::Message::Heartbeat,
+        }))
+    }
+}
+
+#[test]
+fn lock_wait_timeout_fires_under_steady_traffic() {
+    use std::time::{Duration, Instant};
+
+    let cfg = SystemConfig {
+        protocol: Protocol::PsAa,
+        initial_lock_timeout: pscc_common::SimDuration::from_millis(200),
+        ..SystemConfig::small()
+    };
+    let net = pscc_net::InProcNetwork::with_overload(
+        &[SiteId(0)],
+        3,
+        pscc_net::DEFAULT_MAILBOX_CAPACITY,
+        pscc_core::Message::is_consistency,
+    );
+    let cluster = ThreadedCluster::with_transports(
+        cfg,
+        OwnerMap::Single(SiteId(0)),
+        vec![(SiteId(0), Flooded(net.endpoint(SiteId(0))))],
+    );
+    let site = SiteId(0);
+    let x = oid(3, 0);
+    let write = AppOp::Write {
+        oid: x,
+        bytes: None,
+    };
+    let holder = cluster.begin(site, AppId(1)).unwrap();
+    cluster
+        .run_op(site, AppId(1), holder, write.clone())
+        .unwrap();
+    // The waiter queues behind the holder's EX lock; only its lock-wait
+    // timer can end the wait, and the heartbeat flood never lets the
+    // site's transport go idle.
+    let waiter = cluster.begin(site, AppId(2)).unwrap();
+    let started = Instant::now();
+    let outcome = cluster.run_op(site, AppId(2), waiter, write);
+    assert!(
+        matches!(outcome, Err(pscc_common::PsccError::Aborted { txn, .. }) if txn == waiter),
+        "lock-wait timeout starved: {outcome:?}"
+    );
+    assert!(started.elapsed() < Duration::from_secs(10));
+    cluster.shutdown();
+}
